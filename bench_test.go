@@ -18,11 +18,13 @@ import (
 	"hipo/internal/discretize"
 	"hipo/internal/expt"
 	"hipo/internal/field"
+	"hipo/internal/geom"
 	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/radial"
 	"hipo/internal/schedule"
 	"hipo/internal/submodular"
+	"hipo/internal/visindex"
 )
 
 func benchRC() expt.RunConfig {
@@ -275,12 +277,12 @@ func BenchmarkAblationDominance(b *testing.B) {
 // worker-pool widths.
 func BenchmarkAblationParallelGen(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
-	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15)}
+	eps1 := power.Eps1ForEps(0.15)
 	for _, workers := range []int{1, 2, 4, 8} {
 		name := map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4", 8: "workers=8"}[workers]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pdcs.ExtractDistributed(sc, cfg, workers, nil)
+				expt.RunExtractionTasks(sc, eps1, workers, nil, nil)
 			}
 		})
 	}
@@ -290,8 +292,7 @@ func BenchmarkAblationParallelGen(b *testing.B) {
 // measured distributed-extraction task durations.
 func BenchmarkAblationLPT(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
-	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15), Clock: time.Now}
-	_, stats := pdcs.ExtractDistributed(sc, cfg, 4, nil)
+	_, stats := expt.RunExtractionTasks(sc, power.Eps1ForEps(0.15), 4, nil, time.Now)
 	tasks := make([]schedule.Task, len(stats.TaskSeconds))
 	for i, s := range stats.TaskSeconds {
 		tasks[i] = schedule.Task{ID: i, Duration: s}
@@ -331,14 +332,14 @@ func BenchmarkExactPower(b *testing.B) {
 }
 
 // BenchmarkPDCSSweepPoint measures Algorithm 1 at a single point on the
-// default 40-device scenario.
+// default 40-device scenario, through the sweep driver.
 func BenchmarkPDCSSweepPoint(b *testing.B) {
-	sc := expt.BuildScenario(expt.Params{Seed: 1})
-	p := sc.Devices[0].Pos
-	eps1 := power.Eps1ForEps(0.15)
+	sc := visindex.Ensure(expt.BuildScenario(expt.Params{Seed: 1}))
+	pts := []geom.Vec{sc.Devices[0].Pos}
+	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15), SkipDominanceFilter: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pdcs.SweepPoint(sc, i%3, p, eps1)
+		pdcs.ExtractAt(sc, i%3, pts, cfg, nil)
 	}
 }
 

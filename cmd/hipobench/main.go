@@ -54,6 +54,7 @@ import (
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
+	"hipo/internal/pdcs/pdcsref"
 	"hipo/internal/power"
 	"hipo/internal/visindex"
 )
@@ -96,9 +97,9 @@ type SolveResult struct {
 }
 
 // ExtractResult reports the three-arm PDCS extraction benchmark at one
-// sweep point. The baseline arm runs the pre-overhaul extraction pipeline
-// (Config.NoPairPruning + Config.NoBatchedLOS); the optimized arm runs the
-// overhauled one; the traced arm repeats the optimized arm with a tracer
+// sweep point. The baseline arm runs the seed extraction pipeline preserved
+// in internal/pdcs/pdcsref (over the same pruned discretization); the
+// optimized arm runs pdcs.ExtractAll; the traced arm repeats the optimized arm with a tracer
 // attached. Baseline and traced arms both carry tracers so the
 // pdcs_stage_speedup compares like with like: the ratio of their summed
 // "pdcs" stage spans, which excludes the shared discretization stage and is
@@ -421,24 +422,25 @@ func samePlacedChargers(a, b []hipo.PlacedCharger) bool {
 	return true
 }
 
-// benchExtract runs pdcs.ExtractAll three times — seed baseline, overhauled,
-// overhauled with tracer — and verifies all arms produce bit-for-bit
-// identical candidate sets. Each arm gets its own scenario clone and fresh
-// visibility index so no memoized state leaks between arms.
+// benchExtract runs three extraction arms — the pdcsref seed baseline,
+// pdcs.ExtractAll, and pdcs.ExtractAll with a tracer — and verifies all
+// arms produce bit-for-bit identical candidate sets. Each arm gets its own
+// scenario clone and fresh visibility index so no memoized state leaks
+// between arms.
 func benchExtract(sc *model.Scenario, eps float64) (*ExtractResult, error) {
 	eps1 := power.Eps1ForEps(eps)
-	run := func(cfg pdcs.Config) ([][]pdcs.Candidate, time.Duration) {
+	run := func(extract func(*model.Scenario, pdcs.Config) [][]pdcs.Candidate, cfg pdcs.Config) ([][]pdcs.Candidate, time.Duration) {
 		s := visindex.Ensure(sc.Clone())
 		start := time.Now()
-		out := pdcs.ExtractAll(s, cfg)
+		out := extract(s, cfg)
 		return out, time.Since(start)
 	}
 
 	trb := hipotrace.New()
-	base, baseDur := run(pdcs.Config{Eps1: eps1, NoPairPruning: true, NoBatchedLOS: true, Tracer: trb})
-	opt, optDur := run(pdcs.Config{Eps1: eps1})
+	base, baseDur := run(pdcsref.ExtractAll, pdcs.Config{Eps1: eps1, Tracer: trb})
+	opt, optDur := run(pdcs.ExtractAll, pdcs.Config{Eps1: eps1})
 	tr := hipotrace.New()
-	traced, tracedDur := run(pdcs.Config{Eps1: eps1, Tracer: tr})
+	traced, tracedDur := run(pdcs.ExtractAll, pdcs.Config{Eps1: eps1, Tracer: tr})
 
 	n := 0
 	for _, cs := range opt {

@@ -88,6 +88,7 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	}
 	for _, want := range []string{
 		"hipo/internal/pdcs.Extract",
+		"hipo/internal/pdcs.ExtractAt",
 		"hipo/internal/pdcs.ExtractAll",
 		"hipo/internal/discretize.CandidatePositions",
 		"hipo/internal/submodular.GreedyLazy",

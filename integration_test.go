@@ -13,7 +13,6 @@ import (
 	"hipo/internal/expt"
 	"hipo/internal/geom"
 	"hipo/internal/model"
-	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/submodular"
 )
@@ -190,8 +189,7 @@ func TestDistributedEqualsSerialQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15)}
-	cands, _ := pdcs.ExtractDistributed(sc, cfg, 4, nil)
+	cands, _ := expt.RunExtractionTasks(sc, power.Eps1ForEps(0.15), 4, nil, nil)
 	dist, err := core.SelectFromCandidates(sc, cands, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -120,44 +120,54 @@ func RPAD(sc *model.Scenario, rng *rand.Rand) []model.Strategy {
 // a random orientation attached to every grid point (positions are chosen
 // well, orientations are not).
 func GPAR(sc *model.Scenario, rng *rand.Rand, g Grid) []model.Strategy {
-	gen := func(sc *model.Scenario, q int, p geom.Vec) []model.Strategy {
-		return []model.Strategy{{Pos: p, Orient: rng.Float64() * 2 * math.Pi, Type: q}}
-	}
-	return greedyOverGrid(sc, g, gen)
+	return greedyOverGrid(sc, g, func(sc *model.Scenario, q int, pts []geom.Vec) []model.Strategy {
+		var out []model.Strategy
+		for _, p := range pts {
+			out = append(out, model.Strategy{Pos: p, Orient: rng.Float64() * 2 * math.Pi, Type: q})
+		}
+		return out
+	})
 }
 
 // GPAD builds the per-type grid and considers every discretized orientation
 // {0, α_s, 2α_s, …} at every grid point, selecting greedily.
 func GPAD(sc *model.Scenario, g Grid) []model.Strategy {
-	gen := func(sc *model.Scenario, q int, p geom.Vec) []model.Strategy {
+	return greedyOverGrid(sc, g, func(sc *model.Scenario, q int, pts []geom.Vec) []model.Strategy {
 		var out []model.Strategy
-		for _, phi := range discreteOrients(sc.ChargerTypes[q].Alpha) {
-			out = append(out, model.Strategy{Pos: p, Orient: phi, Type: q})
+		for _, p := range pts {
+			for _, phi := range discreteOrients(sc.ChargerTypes[q].Alpha) {
+				out = append(out, model.Strategy{Pos: p, Orient: phi, Type: q})
+			}
 		}
 		return out
-	}
-	return greedyOverGrid(sc, g, gen)
+	})
 }
 
 // GPPDCS replaces GPAD's orientation enumeration with the PDCS point-case
 // extraction (Algorithm 1) at every grid point: orientations are exactly the
-// dominating ones.
+// dominating ones. The grid is swept through pdcs.ExtractAt with the global
+// dominance filter off, so each point keeps its own coverage sets.
 func GPPDCS(sc *model.Scenario, g Grid, eps1 float64) []model.Strategy {
-	gen := func(sc *model.Scenario, q int, p geom.Vec) []model.Strategy {
+	return greedyOverGrid(sc, g, func(sc *model.Scenario, q int, pts []geom.Vec) []model.Strategy {
 		var out []model.Strategy
-		for _, c := range pdcs.SweepPoint(sc, q, p, eps1) {
+		for _, c := range GPPDCSCandidates(sc, q, pts, eps1) {
 			out = append(out, c.S)
 		}
 		return out
-	}
-	return greedyOverGrid(sc, g, gen)
+	})
 }
 
-// greedyOverGrid generates candidate strategies at the grid points of each
-// charger type using gen, then greedily selects within the per-type budgets
-// using the exact utility objective via a submodular instance built from
-// exact powers.
-func greedyOverGrid(sc *model.Scenario, g Grid, gen func(*model.Scenario, int, geom.Vec) []model.Strategy) []model.Strategy {
+// GPPDCSCandidates runs Algorithm 1 at every grid point of charger type q
+// and returns the per-point candidates in point order.
+func GPPDCSCandidates(sc *model.Scenario, q int, pts []geom.Vec, eps1 float64) []pdcs.Candidate {
+	return pdcs.ExtractAt(sc, q, pts, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true}, nil)
+}
+
+// greedyOverGrid generates candidate strategies over the grid points of
+// each charger type using gen, then greedily selects within the per-type
+// budgets using the exact utility objective via a submodular instance built
+// from exact powers.
+func greedyOverGrid(sc *model.Scenario, g Grid, gen func(sc *model.Scenario, q int, pts []geom.Vec) []model.Strategy) []model.Strategy {
 	inst := &submodular.Instance{
 		Phi:         make([]submodular.Scalar, len(sc.Devices)),
 		Weight:      make([]float64, len(sc.Devices)),
@@ -171,17 +181,15 @@ func greedyOverGrid(sc *model.Scenario, g Grid, gen func(*model.Scenario, int, g
 	var flat []model.Strategy
 	for q, ct := range sc.ChargerTypes {
 		inst.Budget[q] = ct.Count
-		for _, p := range GridPoints(sc, q, g) {
-			for _, s := range gen(sc, q, p) {
-				el := submodular.Element{Part: q}
-				for j := range sc.Devices {
-					if pw := power.Exact(sc, s, j); pw > 0 {
-						el.Covers = append(el.Covers, submodular.Entry{Device: j, Power: pw})
-					}
+		for _, s := range gen(sc, q, GridPoints(sc, q, g)) {
+			el := submodular.Element{Part: q}
+			for j := range sc.Devices {
+				if pw := power.Exact(sc, s, j); pw > 0 {
+					el.Covers = append(el.Covers, submodular.Entry{Device: j, Power: pw})
 				}
-				inst.Elements = append(inst.Elements, el)
-				flat = append(flat, s)
 			}
+			inst.Elements = append(inst.Elements, el)
+			flat = append(flat, s)
 		}
 	}
 	res := submodular.GreedyLazy(inst)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 
 	"hipo/internal/hipotrace"
@@ -44,7 +43,8 @@ const (
 // Options tunes the solver.
 type Options struct {
 	// Eps is the overall approximation parameter ε of Theorem 4.2
-	// (0 < ε < 1/2). The level parameter is ε₁ = 2ε/(1−2ε). Default 0.15.
+	// (0 < ε < 1/2). The level parameter is ε₁ = 2ε/(1−2ε). Zero selects
+	// DefaultEps; Solve rejects any other value outside (0, 1/2).
 	Eps float64
 	// Variant selects the greedy flavor. Default GreedyLazy.
 	Variant GreedyVariant
@@ -60,8 +60,6 @@ type Options struct {
 	// (internal/visindex) and answers every occlusion query by exhaustive
 	// obstacle scan. The two paths produce identical placements; the brute
 	// path is kept as the differential reference and benchmark baseline.
-	// The HIPO_BRUTE_FORCE_VISIBILITY environment variable (any non-empty
-	// value) forces it globally.
 	BruteForceVisibility bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
@@ -84,30 +82,41 @@ func (o Options) canceled() error {
 	return o.Ctx.Err()
 }
 
-// useBruteVisibility reports whether occlusion queries should bypass the
-// spatial index (option or environment override).
-func (o Options) useBruteVisibility() bool {
-	return o.BruteForceVisibility || os.Getenv("HIPO_BRUTE_FORCE_VISIBILITY") != ""
-}
-
 // withVisibility attaches the spatial visibility index for this solve
 // unless brute force was requested. Ensure clones, so the caller's scenario
 // is never mutated.
 func withVisibility(sc *model.Scenario, opt Options) *model.Scenario {
-	if opt.useBruteVisibility() {
+	if opt.BruteForceVisibility {
 		return sc
 	}
 	return visindex.Ensure(sc)
 }
 
-// DefaultOptions returns the paper's default parameters (ε = 0.15).
-func DefaultOptions() Options { return Options{Eps: 0.15} }
+// DefaultEps is the paper's default approximation parameter ε.
+const DefaultEps = 0.15
 
-func (o Options) eps1() float64 {
-	eps := o.Eps
-	if eps <= 0 || eps >= 0.5 {
-		eps = 0.15
+// DefaultOptions returns the paper's default parameters (ε = 0.15).
+func DefaultOptions() Options { return Options{Eps: DefaultEps} }
+
+// Epsilon resolves the approximation parameter the pipeline runs at: Eps,
+// or DefaultEps when Eps is zero. A value outside (0, 1/2) — NaN included —
+// returns DefaultEps together with an error; entry points that can fail
+// reject it, the rest run at the default.
+func (o Options) Epsilon() (float64, error) {
+	switch {
+	//lint:ignore floatcmp zero is the exact unset sentinel of Options, not a computed value
+	case o.Eps == 0:
+		return DefaultEps, nil
+	case o.Eps > 0 && o.Eps < 0.5: // written positively so NaN fails it
+		return o.Eps, nil
+	default:
+		return DefaultEps, fmt.Errorf("core: ε = %v outside (0, 1/2)", o.Eps)
 	}
+}
+
+// Eps1 returns the level parameter ε₁ = 2ε/(1−2ε) of the resolved ε.
+func (o Options) Eps1() float64 {
+	eps, _ := o.Epsilon()
 	return power.Eps1ForEps(eps)
 }
 
@@ -134,6 +143,9 @@ func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid scenario: %w", err)
 	}
+	if _, err := opt.Epsilon(); err != nil {
+		return nil, err
+	}
 	sc = withVisibility(sc, opt)
 	cands, err := extractCandidates(sc, opt)
 	if err != nil {
@@ -157,11 +169,11 @@ func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, err
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cfg := pdcs.Config{
-		Eps1:                  opt.eps1(),
+		Eps1:                  opt.Eps1(),
 		Workers:               workers,
 		SkipDominanceFilter:   opt.SkipDominanceFilter,
 		SkipPairConstructions: opt.SkipPairConstructions,
-		BruteForceVisibility:  opt.useBruteVisibility(),
+		BruteForceVisibility:  opt.BruteForceVisibility,
 		Tracer:                opt.Tracer,
 	}
 	defer snapshotMemoStats(sc, opt.Tracer)()
@@ -211,25 +223,34 @@ func snapshotMemoStats(sc *model.Scenario, tr *hipotrace.Tracer) func() {
 // SelectFromCandidates runs the greedy strategy selection (Section 4.3)
 // over pre-extracted candidates.
 func SelectFromCandidates(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options) (*Solution, error) {
+	return SelectWith(sc, cands, opt, func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
+		switch opt.Variant {
+		case GreedyGlobal:
+			return submodular.GreedyGlobal(inst)
+		case GreedyPerType:
+			return submodular.GreedyPerType(inst)
+		case GreedyContinuous:
+			// The polytope formulation needs distinct elements.
+			inst.AllowRepeat = false
+			return submodular.ContinuousGreedy(inst, submodular.DefaultContinuousOptions())
+		default:
+			return submodular.GreedyLazy(inst)
+		}
+	})
+}
+
+// SelectWith is SelectFromCandidates with the greedy supplied by the
+// caller: greedy receives the traced instance BuildInstance produced and
+// the flat candidate list its elements index, and its result becomes the
+// Solution. Warm-started selection (internal/incremental) runs through it.
+func SelectWith(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options, greedy func(*submodular.Instance, []pdcs.Candidate) submodular.Result) (*Solution, error) {
 	if err := opt.canceled(); err != nil {
 		return nil, fmt.Errorf("core: solve canceled: %w", err)
 	}
 	inst, flat := BuildInstance(sc, cands, opt)
 	inst.Tracer = opt.Tracer
 	endGreedy := opt.Tracer.StartStage(hipotrace.StageGreedy, opt.Variant.label())
-	var res submodular.Result
-	switch opt.Variant {
-	case GreedyGlobal:
-		res = submodular.GreedyGlobalParallel(inst, opt.Workers)
-	case GreedyPerType:
-		res = submodular.GreedyPerType(inst)
-	case GreedyContinuous:
-		// The polytope formulation needs distinct elements.
-		inst.AllowRepeat = false
-		res = submodular.ContinuousGreedy(inst, submodular.DefaultContinuousOptions())
-	default:
-		res = submodular.GreedyLazy(inst)
-	}
+	res := greedy(inst, flat)
 	endGreedy()
 	sol := &Solution{ApproxValue: res.Value, Candidates: make([]int, len(cands))}
 	for q := range cands {
@@ -285,10 +306,7 @@ func BuildInstance(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options) (*
 // TheoreticalRatio returns the approximation guarantee 1/2 − ε achieved by
 // the pipeline for the configured ε (Theorem 4.2).
 func (o Options) TheoreticalRatio() float64 {
-	eps := o.Eps
-	if eps <= 0 || eps >= 0.5 {
-		eps = 0.15
-	}
+	eps, _ := o.Epsilon()
 	return 0.5 - eps
 }
 

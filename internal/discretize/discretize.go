@@ -13,10 +13,10 @@
 // one of these points (Theorem 4.1's three shrinking operations terminate at
 // exactly these events).
 //
-// The generation is split per device (DevicePositions) and per device pair
-// (PairPositions) so that the distributed Algorithm 4 of Section 5 can
-// partition it into independent tasks; CandidatePositions is their
-// deduplicated union.
+// The generation is split into per-device tasks (TaskPositions: device i's
+// own events plus its pairs with larger-indexed neighbors), the independent
+// tasks of the distributed Algorithm 4 of Section 5; CandidatePositions is
+// their deduplicated union.
 package discretize
 
 import (
@@ -46,13 +46,6 @@ type Config struct {
 	// (Algorithm 2 steps 1–7), leaving only per-device ring events. Used by
 	// ablation benchmarks.
 	SkipPairConstructions bool
-	// NoPairPruning disables the spatial prefilters (device grid for
-	// neighbor sets and usefulness tests, obstacle-box pruning for ring
-	// cutting) and falls back to the exhaustive scans. Output is identical
-	// either way — the prefilters are conservative supersets re-checked by
-	// the exact predicates — so this exists as the benchmark baseline arm
-	// and for bit-identity tests.
-	NoPairPruning bool
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
@@ -116,10 +109,14 @@ type Generator struct {
 	// near-disk prefilter can assemble pruned edge lists that stay
 	// subsequences of obs (preserving enumeration order).
 	obsEdges [][]geom.Segment
-	// neighbors[i] is the precomputed NeighborSet of device i (ascending).
+	// neighbors[i] lists, ascending, the devices within 2·d_max of device i
+	// (the O_i^k of Algorithm 4), excluding i itself.
 	neighbors [][]int
-	// ix (the scenario's visibility index) and dgrid (a device-position
-	// grid) power the spatial prefilters; both nil under NoPairPruning.
+	// ix (the scenario's visibility index; nil under brute-force
+	// visibility) and dgrid (a device-position grid; nil without devices)
+	// power the spatial prefilters. Each prefilter is a conservative
+	// superset re-checked by the exact predicate, so output is identical to
+	// an exhaustive scan.
 	ix    *visindex.Index
 	dgrid *visindex.DeviceGrid
 }
@@ -165,7 +162,7 @@ func NewGenerator(sc *model.Scenario, q int, cfg Config) *Generator {
 		g.obs = append(g.obs, perObs[h]...)
 		g.obsEdges[h] = g.obs[start:len(g.obs):len(g.obs)]
 	}
-	if !cfg.NoPairPruning && !cfg.BruteForceVisibility {
+	if !cfg.BruteForceVisibility {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 			g.ix = ix
 		}
@@ -174,11 +171,10 @@ func NewGenerator(sc *model.Scenario, q int, cfg Config) *Generator {
 	return g
 }
 
-// buildNeighbors precomputes every device's NeighborSet. With pruning
-// enabled a device grid narrows each scan to the cells overlapping the
-// 2·d_max disk and reports the pairs it skipped to the tracer; the exact
-// distance predicate then decides membership either way, so both paths
-// produce identical sets.
+// buildNeighbors precomputes every device's neighbor set. A device grid
+// narrows each scan to the cells overlapping the 2·d_max disk and reports
+// the pairs it skipped to the tracer; the exact distance predicate decides
+// membership, so the sets equal an exhaustive scan's.
 func (g *Generator) buildNeighbors() {
 	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
 	no := len(sc.Devices)
@@ -187,16 +183,6 @@ func (g *Generator) buildNeighbors() {
 		return
 	}
 	r := 2 * ct.DMax
-	if g.cfg.NoPairPruning {
-		for i := 0; i < no; i++ {
-			for j := 0; j < no; j++ {
-				if j != i && sc.Devices[i].Pos.Dist(sc.Devices[j].Pos) <= r {
-					g.neighbors[i] = append(g.neighbors[i], j)
-				}
-			}
-		}
-		return
-	}
 	pts := make([]geom.Vec, no)
 	for i := range pts {
 		pts[i] = sc.Devices[i].Pos
@@ -224,14 +210,11 @@ func (g *Generator) buildNeighbors() {
 	g.cfg.Tracer.Add(hipotrace.CtrPairsPruned, pruned)
 }
 
-// DevicePositions emits the per-device candidate positions of device j:
-// its level rings cut against its own sector edges, hole rays, and all
-// obstacle edges, plus event-angle boundary samples (Algorithm 2 step 8).
-// Positions are filtered for placement feasibility but not deduplicated.
-func (g *Generator) DevicePositions(j int) []geom.Vec {
-	return g.appendDevicePositions(nil, j)
-}
-
+// appendDevicePositions appends the per-device candidate positions of
+// device j: its level rings cut against its own sector edges, hole rays,
+// and all obstacle edges, plus event-angle boundary samples (Algorithm 2
+// step 8). Positions are filtered for placement feasibility but not
+// deduplicated.
 func (g *Generator) appendDevicePositions(out []geom.Vec, j int) []geom.Vec {
 	feas := 0
 	add := func(p geom.Vec) {
@@ -286,21 +269,11 @@ func (g *Generator) deviceSegs(j int) (segs []geom.Segment, pooled bool) {
 	return segs, true
 }
 
-// PairPositions emits the candidate positions arising from the device pair
-// (i, j): ring/ring intersections, cross ring/sector-edge and ring/hole-ray
-// intersections, and — unless disabled — Algorithm 2's line and
-// inscribed-arc constructions. Returns nil when the devices are farther
-// apart than 2·d_max. Not deduplicated.
-func (g *Generator) PairPositions(i, j int) []geom.Vec {
-	ct := g.sc.ChargerTypes[g.q]
-	if g.sc.Devices[i].Pos.Dist(g.sc.Devices[j].Pos) > 2*ct.DMax {
-		return nil
-	}
-	return g.appendPairPositions(nil, i, j)
-}
-
-// appendPairPositions assumes the pair is within 2·d_max (callers walk
-// precomputed neighbor sets).
+// appendPairPositions appends the candidate positions arising from the
+// device pair (i, j): ring/ring intersections, cross ring/sector-edge and
+// ring/hole-ray intersections, and — unless disabled — Algorithm 2's line
+// and inscribed-arc constructions. It assumes the pair is within 2·d_max
+// (callers walk precomputed neighbor sets). Not deduplicated.
 func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	ct := g.sc.ChargerTypes[g.q]
 	pi, pj := g.sc.Devices[i].Pos, g.sc.Devices[j].Pos
@@ -370,14 +343,6 @@ func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	return out
 }
 
-// NeighborSet returns the indices of devices within 2·d_max of device i
-// (the O_i^k of Algorithm 4), excluding i itself. The sets are precomputed
-// at generator construction (spatially pruned unless NoPairPruning); the
-// returned slice is a copy the caller may mutate.
-func (g *Generator) NeighborSet(i int) []int {
-	return append([]int(nil), g.neighbors[i]...)
-}
-
 // TaskPositions emits the complete candidate-position workload of
 // distributed task i for this charger type (Algorithm 4): device i's own
 // events plus the pair constructions with every neighbor of larger index
@@ -424,75 +389,77 @@ func (g *Generator) TaskCost(i int) float64 {
 }
 
 // CandidatePositions returns the candidate charger positions for charger
-// type q: the deduplicated union of all per-device and per-pair positions,
-// restricted to the deployment region, outside obstacle interiors, and
-// within charging range of at least one device. Per-device workloads run
-// in parallel on cfg.Workers goroutines (0 = GOMAXPROCS), handed out in
-// LPT order under the shared TaskCost model so the longest tasks start
-// first; position buffers are pooled across tasks. Deduplication is
-// order-stable over task order, so results are deterministic regardless of
-// worker count, hand-out order, or pooling.
+// type q: the deduplicated union of every task's positions, restricted to
+// the deployment region, outside obstacle interiors, and within charging
+// range of at least one device (Generator.Positions on a fresh generator).
 //
 //hipo:hotpath
 func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 	if !cfg.BruteForceVisibility {
 		sc = visindex.Ensure(sc)
 	}
-	g := NewGenerator(sc, q, cfg)
-	workers := cfg.Workers
+	return NewGenerator(sc, q, cfg).Positions(nil)
+}
+
+// Positions assembles the candidate positions from the per-device tasks:
+// workloads run on cfg.Workers goroutines (0 = GOMAXPROCS), handed out in
+// LPT order under the shared TaskCost model so the longest tasks start
+// first, then are deduplicated in task order (first occurrence wins) and
+// filtered for usefulness. Results are deterministic regardless of worker
+// count or hand-out order.
+//
+// tasks, when non-nil, is a per-device cache of task workloads carried
+// across calls (internal/incremental): non-nil entries are reused verbatim
+// and nil entries are generated and written back. With a nil cache the
+// workloads live in pooled buffers for the duration of the call.
+func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
+	workers := g.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	no := len(sc.Devices)
-	tasks := make([]schedule.Task, no)
-	for i := range tasks {
-		tasks[i] = schedule.Task{ID: i, Duration: g.TaskCost(i)}
+	var todo []schedule.Task
+	for i := range g.sc.Devices {
+		if tasks == nil || tasks[i] == nil {
+			todo = append(todo, schedule.Task{ID: i, Duration: g.TaskCost(i)})
+		}
 	}
 	var reuse atomic.Int64
-	perDevice := schedule.RunPoolOrdered(no, workers, schedule.LPTOrder(tasks), func(i int) []geom.Vec {
+	fresh := schedule.RunPoolOrdered(len(todo), workers, schedule.LPTOrder(todo), func(k int) []geom.Vec {
+		if tasks != nil {
+			return g.appendTaskPositions(nil, todo[k].ID)
+		}
 		buf, reused := getPosBuf()
 		if reused {
 			reuse.Add(1)
 		}
-		return g.appendTaskPositions(buf, i)
+		return g.appendTaskPositions(buf, todo[k].ID)
 	})
-	dd := newDeduper()
-	for _, pts := range perDevice {
-		for _, p := range pts {
-			dd.add(p)
+	g.cfg.Tracer.Add(hipotrace.CtrPoolReuse, reuse.Load())
+	all := fresh
+	if tasks != nil {
+		for k, t := range todo {
+			tasks[t.ID] = fresh[k]
 		}
-		putPosBuf(pts)
+		all = tasks
 	}
-	cfg.Tracer.Add(hipotrace.CtrPoolReuse, reuse.Load())
+	dd := newDeduper()
+	for _, pts := range all {
+		dd.add(pts...)
+		if tasks == nil {
+			putPosBuf(pts)
+		}
+	}
 	return g.FilterUseful(dd.points)
 }
 
-// FilterUseful keeps positions within charging range of at least one
-// device for charger type q by exhaustive device scan.
-func FilterUseful(sc *model.Scenario, q int, pts []geom.Vec) []geom.Vec {
-	ct := sc.ChargerTypes[q]
-	out := pts[:0]
-	for _, p := range pts {
-		useful := false
-		for j := 0; j < len(sc.Devices) && !useful; j++ {
-			d := p.Dist(sc.Devices[j].Pos)
-			useful = d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps
-		}
-		if useful {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FilterUseful is the generator-aware variant of the package function:
-// with the device grid available it only distance-tests the devices whose
-// cells overlap each position's d_max disk. The grid superset is re-checked
-// by the identical exact predicate, so output matches the exhaustive scan
+// FilterUseful keeps, in place, the positions within charging range of at
+// least one device. It only distance-tests the devices whose grid cells
+// overlap each position's d_max disk; the grid superset is re-checked by
+// the exact range predicate, so output matches an exhaustive device scan
 // bit for bit.
 func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 	if g.dgrid == nil {
-		return FilterUseful(g.sc, g.q, pts)
+		return pts[:0] // no devices: nothing is in range
 	}
 	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
 	mask := make([]uint64, g.dgrid.Words())
@@ -521,9 +488,7 @@ func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 // occurrences.
 func Dedup(pts []geom.Vec) []geom.Vec {
 	dd := newDeduper()
-	for _, p := range pts {
-		dd.add(p)
-	}
+	dd.add(pts...)
 	return dd.points
 }
 
@@ -589,7 +554,13 @@ func newDeduper() *deduper {
 	return &deduper{tol: 1e-6, cells: make(map[[2]int64][]int)}
 }
 
-func (d *deduper) add(p geom.Vec) {
+func (d *deduper) add(pts ...geom.Vec) {
+	for _, p := range pts {
+		d.addOne(p)
+	}
+}
+
+func (d *deduper) addOne(p geom.Vec) {
 	cx := int64(math.Floor(p.X / d.tol))
 	cy := int64(math.Floor(p.Y / d.tol))
 	for dx := int64(-1); dx <= 1; dx++ {

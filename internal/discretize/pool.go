@@ -8,7 +8,7 @@ import (
 
 // Buffer pools for the per-task generation hot path: position buffers
 // (one live per in-flight task) and segment / obstacle-index scratch (one
-// per DevicePositions call). Pooling is invisible to output — buffers are
+// per device ring-cutting pass). Pooling is invisible to output — buffers are
 // always truncated to zero length before reuse and their contents copied
 // out (deduper, candidate Covers) before release — and reuses surface in
 // the pool_reuse tracer counter.

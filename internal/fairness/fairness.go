@@ -14,7 +14,6 @@ import (
 	"hipo/internal/core"
 	"hipo/internal/geom"
 	"hipo/internal/model"
-	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/submodular"
 )
@@ -294,10 +293,4 @@ func JainIndex(us []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(us)) * sq)
-}
-
-// Candidates re-exports the candidate extraction used by the SA seed, so
-// experiment code can introspect candidate counts without re-running.
-func Candidates(sc *model.Scenario, opt core.Options) [][]pdcs.Candidate {
-	return core.ExtractCandidates(sc, opt)
 }

@@ -67,12 +67,6 @@ func (s SectorRing) BoundaryRays() []Segment {
 	return out
 }
 
-// InnerCircle returns the circle of radius RMin about the apex.
-func (s SectorRing) InnerCircle() Circle { return Circle{s.Apex, s.RMin} }
-
-// OuterCircle returns the circle of radius RMax about the apex.
-func (s SectorRing) OuterCircle() Circle { return Circle{s.Apex, s.RMax} }
-
 // Area returns the area of the sector ring.
 func (s SectorRing) Area() float64 {
 	return s.Alpha / 2 * (s.RMax*s.RMax - s.RMin*s.RMin)

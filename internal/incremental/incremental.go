@@ -16,13 +16,14 @@
 //
 // A Session therefore caches per-task position lists and per-position sweep
 // outputs, computes a conservative blast radius for every mutation
-// (2·d_max + pad for tasks, d_max + pad for sweeps), recomputes only what
-// the radius touches, and reassembles the caches in cold order. The result
-// feeds the same reducer, dominance filter, and instance builder as the
-// cold path, so every incremental solve is bit-for-bit identical to
-// core.Solve on the mutated scenario — the parity tests in this package and
-// the bench gate in cmd/hipobench enforce exactly that, not an approximate
-// agreement.
+// (2·d_max + pad for tasks, d_max + pad for sweeps), and drops only what
+// the radius touches. Solving hands the caches to the cold path's own
+// drivers — discretize's Generator.Positions and pdcs.ExtractAt, which
+// recompute exactly the missing entries and reassemble in cold order — and
+// selects through core.SelectWith, so every incremental solve is bit-for-bit
+// identical to core.Solve on the mutated scenario. The parity tests in this
+// package, the identity wall in internal/pdcs, and the bench gate in
+// cmd/hipobench enforce exactly that, not an approximate agreement.
 //
 // Selection is warm-started: round-0 singleton gains are content-addressed
 // by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
@@ -34,16 +35,12 @@ package incremental
 import (
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 
 	"hipo/internal/core"
 	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
-	"hipo/internal/power"
-	"hipo/internal/schedule"
 	"hipo/internal/submodular"
 	"hipo/internal/visindex"
 )
@@ -125,6 +122,24 @@ type typeState struct {
 	// sweep maps a candidate position to its Algorithm 1 output. Values own
 	// their Covers privately.
 	sweep map[posKey][]pdcs.Candidate
+	// stats receives the sweep hit and miss counts.
+	stats *Stats
+}
+
+// Lookup serves a cached sweep (pdcs.Memo).
+func (ts *typeState) Lookup(p geom.Vec) ([]pdcs.Candidate, bool) {
+	cs, ok := ts.sweep[keyOf(p)]
+	if ok {
+		ts.stats.SweepsReused++
+	} else {
+		ts.stats.SweepsComputed++
+	}
+	return cs, ok
+}
+
+// Store caches a fresh sweep (pdcs.Memo).
+func (ts *typeState) Store(p geom.Vec, cands []pdcs.Candidate) {
+	ts.sweep[keyOf(p)] = cands
 }
 
 // Session incrementally re-solves one scenario under a mutation stream.
@@ -132,7 +147,6 @@ type typeState struct {
 type Session struct {
 	sc    *model.Scenario
 	opt   core.Options
-	brute bool
 	types []*typeState
 
 	// gains content-addresses round-0 singleton gains by coverage list;
@@ -152,9 +166,12 @@ type Session struct {
 // cloned; the caller's copy is never touched.
 //
 // opt.Variant must be the default lazy greedy — the warm-start path is CELF
-// only. opt.Ctx is ignored; mutations and solves are short-lived relative
-// to a cold pipeline run.
+// only — and opt.Eps must be zero or inside (0, 1/2). opt.Ctx is ignored;
+// mutations and solves are short-lived relative to a cold pipeline run.
 func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
+	if _, err := opt.Epsilon(); err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	}
 	if opt.Variant != core.GreedyLazy {
 		return nil, fmt.Errorf("incremental: only the lazy greedy variant supports warm-started re-solves")
 	}
@@ -164,12 +181,9 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("incremental: invalid scenario: %w", err)
 	}
-	s := &Session{
-		sc:    sc.Clone(),
-		opt:   opt,
-		brute: opt.BruteForceVisibility || os.Getenv("HIPO_BRUTE_FORCE_VISIBILITY") != "",
-	}
-	if !s.brute {
+	opt.Ctx = nil // ignored, as documented: selection must not observe it
+	s := &Session{sc: sc.Clone(), opt: opt}
+	if !opt.BruteForceVisibility {
 		s.sc = visindex.Ensure(s.sc)
 	}
 	s.types = make([]*typeState, len(s.sc.ChargerTypes))
@@ -177,6 +191,7 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 		s.types[q] = &typeState{
 			taskPos: make([][]geom.Vec, len(s.sc.Devices)),
 			sweep:   make(map[posKey][]pdcs.Candidate),
+			stats:   &s.stats,
 		}
 	}
 	return s, nil
@@ -187,22 +202,6 @@ func (s *Session) Scenario() *model.Scenario { return s.sc.Clone() }
 
 // Stats returns the cumulative cache counters.
 func (s *Session) Stats() Stats { return s.stats }
-
-// eps1 mirrors core.Options' defaulting of the level parameter.
-func (s *Session) eps1() float64 {
-	eps := s.opt.Eps
-	if eps <= 0 || eps >= 0.5 {
-		eps = 0.15
-	}
-	return power.Eps1ForEps(eps)
-}
-
-func (s *Session) workers() int {
-	if s.opt.Workers > 0 {
-		return s.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Apply applies the mutations in order. Each mutation is validated against
 // the current scenario before it lands; on error the earlier mutations of
@@ -288,7 +287,7 @@ func (s *Session) applyOne(m Mutation) error {
 			}
 		}
 		s.sc.Obstacles = append(s.sc.Obstacles, m.Obstacle)
-		if !s.brute {
+		if !s.opt.BruteForceVisibility {
 			// Ensure detects the obstacle-set change by hash and rebuilds the
 			// index on a clone.
 			s.sc = visindex.Ensure(s.sc)
@@ -393,71 +392,31 @@ func (s *Session) Solve() (*core.Solution, error) {
 		s.stats.FastPath++
 		return s.prev, nil
 	}
-	workers := s.workers()
-	pcfg := pdcs.Config{
-		Eps1:                  s.eps1(),
-		Workers:               workers,
+	dcfg := discretize.Config{
+		Eps1:                  s.opt.Eps1(),
+		Workers:               s.opt.Workers,
 		SkipPairConstructions: s.opt.SkipPairConstructions,
-		BruteForceVisibility:  s.brute,
+		BruteForceVisibility:  s.opt.BruteForceVisibility,
 		Tracer:                s.opt.Tracer,
 	}
-	dcfg := discretize.Config{
-		Eps1:                  pcfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: pcfg.SkipPairConstructions,
-		BruteForceVisibility:  s.brute,
-		Tracer:                s.opt.Tracer,
+	pcfg := pdcs.Config{
+		Eps1:                  dcfg.Eps1,
+		Workers:               dcfg.Workers,
+		SkipPairConstructions: dcfg.SkipPairConstructions,
+		BruteForceVisibility:  dcfg.BruteForceVisibility,
+		Tracer:                dcfg.Tracer,
 	}
 	cands := make([][]pdcs.Candidate, len(s.types))
 	for q, ts := range s.types {
-		gen := discretize.NewGenerator(s.sc, q, dcfg)
-
-		// Regenerate dirty task workloads in parallel; reuse the rest.
-		var dirty []int
-		for i := range ts.taskPos {
-			if ts.taskPos[i] == nil {
-				dirty = append(dirty, i)
-			}
-		}
-		s.stats.TasksRecomputed += len(dirty)
-		s.stats.TasksReused += len(ts.taskPos) - len(dirty)
-		regen := schedule.RunPool(len(dirty), workers, func(k int) []geom.Vec {
-			return gen.TaskPositions(dirty[k])
-		})
-		for k, i := range dirty {
-			ts.taskPos[i] = regen[k]
-		}
-
-		// Reassemble the cold position list: concatenation in device order,
-		// first-wins dedup, usefulness filter — CandidatePositions verbatim.
-		var all []geom.Vec
-		for i := range ts.taskPos {
-			all = append(all, ts.taskPos[i]...)
-		}
-		positions := gen.FilterUseful(discretize.Dedup(all))
-
-		// Sweep only cache misses, then reduce in full position order.
-		perPos := make([][]pdcs.Candidate, len(positions))
-		var missIdx []int
-		var missPts []geom.Vec
-		for i, p := range positions {
-			if cs, ok := ts.sweep[keyOf(p)]; ok {
-				perPos[i] = cs
+		for _, pts := range ts.taskPos {
+			if pts == nil {
+				s.stats.TasksRecomputed++
 			} else {
-				missIdx = append(missIdx, i)
-				missPts = append(missPts, p)
+				s.stats.TasksReused++
 			}
 		}
-		s.stats.SweepsComputed += len(missPts)
-		s.stats.SweepsReused += len(positions) - len(missPts)
-		if len(missPts) > 0 {
-			sw := pdcs.NewSweeper(s.sc, q, pcfg)
-			out := sw.SweepPositions(missPts)
-			for k, i := range missIdx {
-				perPos[i] = out[k]
-				ts.sweep[keyOf(positions[i])] = out[k]
-			}
-		}
+		positions := discretize.NewGenerator(s.sc, q, dcfg).Positions(ts.taskPos)
+		cands[q] = pdcs.ExtractAt(s.sc, q, positions, pcfg, ts)
 		// Mark-and-sweep: drop cache entries no current position references,
 		// bounding the cache at the live position count.
 		if len(ts.sweep) > len(positions) {
@@ -471,10 +430,9 @@ func (s *Session) Solve() (*core.Solution, error) {
 				}
 			}
 		}
-		cands[q] = pdcs.ReduceCandidates(perPos, len(s.sc.Devices))
 	}
 
-	sol, err := s.selectWarm(cands)
+	sol, err := core.SelectWith(s.sc, cands, s.opt, s.greedyWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -483,13 +441,9 @@ func (s *Session) Solve() (*core.Solution, error) {
 	return sol, nil
 }
 
-// selectWarm mirrors core.SelectFromCandidates for the lazy variant, with
-// round-0 gains replayed from the content-addressed cache when bit-exact
-// reuse is possible.
-func (s *Session) selectWarm(cands [][]pdcs.Candidate) (*core.Solution, error) {
-	inst, flat := core.BuildInstance(s.sc, cands, s.opt)
-	inst.Tracer = s.opt.Tracer
-
+// greedyWarm is the lazy greedy with round-0 gains replayed from the
+// content-addressed cache when bit-exact reuse is possible.
+func (s *Session) greedyWarm(inst *submodular.Instance, flat []pdcs.Candidate) submodular.Result {
 	var prior []float64
 	if s.gainsOK && s.opt.Objective == nil {
 		prior = make([]float64, len(flat))
@@ -516,16 +470,7 @@ func (s *Session) selectWarm(cands [][]pdcs.Candidate) (*core.Solution, error) {
 		}
 		s.gainsOK = true
 	}
-
-	sol := &core.Solution{ApproxValue: res.Value, Candidates: make([]int, len(cands))}
-	for q := range cands {
-		sol.Candidates[q] = len(cands[q])
-	}
-	for _, e := range res.Selected {
-		sol.Placed = append(sol.Placed, flat[e].S)
-	}
-	sol.Utility = power.TotalUtility(s.sc, sol.Placed)
-	return sol, nil
+	return res
 }
 
 // coverKey content-addresses a coverage list: the round-0 singleton gain of

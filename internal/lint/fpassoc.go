@@ -9,8 +9,8 @@ import "fmt"
 // such a reduction can differ between runs in the last ulps — exactly the
 // drift the bit-identity wall exists to catch, but caught statically and
 // before it reaches a golden fixture. Order-preserving parallel reductions
-// (indexed result slots merged in a deterministic loop, like
-// submodular.parallelArgmax) are clean by construction; intentionally
+// (indexed result slots merged in a deterministic loop, like the chunk
+// outputs of pdcs.ExtractAt) are clean by construction; intentionally
 // order-free reducers are annotated //hipo:order-invariant <reason>.
 var FPAssocAnalyzer = &ProgramAnalyzer{
 	Name: "fpassoc",

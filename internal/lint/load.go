@@ -102,17 +102,12 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// LoadModule lists, parses, and type-checks every package of the module
-// rooted at dir that matches patterns (e.g. "./..."), resolving all
+// LoadModuleParallel lists, parses, and type-checks every package of the
+// module rooted at dir that matches patterns (e.g. "./..."), resolving all
 // imports — standard library and intra-module alike — through compiled
 // export data. Only non-test files are loaded, mirroring what `go vet`
-// hands a unit checker for the primary package.
-func LoadModule(dir string, patterns []string) ([]*Package, error) {
-	return LoadModuleParallel(dir, patterns, 1)
-}
-
-// LoadModuleParallel is LoadModule with parsing and type-checking spread
-// over a pool of workers. The token.FileSet is shared (it synchronizes
+// hands a unit checker for the primary package. Parsing and type-checking
+// are spread over a pool of workers. The token.FileSet is shared (it synchronizes
 // internally), but each worker owns a private gc importer over the shared
 // export data: the importer's package cache is a plain map. One
 // consequence is deliberate — dependency types materialized by different

@@ -34,7 +34,7 @@ import (
 // Deliberately NOT sources: map/channel range variables themselves (the
 // values are deterministic — only their order is not), integer
 // accumulations (commutative), and keyed or indexed writes (out[i] = v is
-// the order-preserving collection idiom parallelArgmax uses).
+// the order-preserving collection idiom schedule.RunPool uses).
 //
 // Sanitizers. sort.Strings/Ints/Float64s/Sort/Stable (and the slices
 // equivalents) clear order taint from their argument. sort.Slice and

@@ -191,7 +191,7 @@ func TestPairsPrunedCounter(t *testing.T) {
 	if got := tr.Breakdown().Counters["pairs_pruned"]; got == 0 {
 		t.Fatal("pairs_pruned = 0 on a spread-out field, pruning never engaged")
 	}
-	ref := extractWith(spread, seedConfig(eps1))
+	ref := reference(spread, eps1)
 	if !candidatesBitIdentical(ref, pruned) {
 		t.Fatal("pruned extraction diverged from seed pipeline on the spread field")
 	}

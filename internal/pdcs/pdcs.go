@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"hipo/internal/discretize"
 	"hipo/internal/geom"
@@ -56,14 +55,6 @@ type eligible struct {
 	pw     float64 // approximated charging power
 }
 
-// EligibleAt returns the devices that a charger of type q at position p
-// could charge under some orientation: distance within [DMin, DMax], p
-// inside the device's receiving sector, and clear line of sight. The
-// returned powers use the piecewise approximation with parameter eps1.
-func EligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
-	return newEligibleCache(sc, q, Config{Eps1: eps1, NoPairPruning: true, NoBatchedLOS: true}).atSeed(p)
-}
-
 // prunePad widens the device-grid query radius past every exact-predicate
 // tolerance (the ±geom.Eps range gates), mirroring the padding contract of
 // internal/visindex: the grid may only over-approximate.
@@ -71,10 +62,9 @@ const prunePad = 1e-6
 
 // eligibleCache precomputes, per device type, the piecewise power levels
 // for one charger type so that eligibility checks at thousands of candidate
-// positions avoid re-deriving them; with the spatial accelerators enabled
-// it also carries the device grid that prunes each position's device scan
-// and the viewpoint tiling that batches its line-of-sight rays. Safe for
-// concurrent use.
+// positions avoid re-deriving them. It also carries the device grid that
+// prunes each position's device scan and the viewpoint tiling that batches
+// its line-of-sight rays. Safe for concurrent use.
 type eligibleCache struct {
 	sc     *model.Scenario
 	q      int
@@ -93,11 +83,11 @@ type eligibleCache struct {
 	cosHalf []float64
 
 	// dgrid narrows each position's device scan to the cells overlapping
-	// its d_max disk (nil under NoPairPruning).
+	// its d_max disk (nil without devices).
 	dgrid *visindex.DeviceGrid
 	// vpg answers LOS rays through memoized per-tile viewpoint batches: one
 	// obstacle collection per tile of positions instead of one DDA walk per
-	// ray (nil under NoBatchedLOS, brute-force visibility, or no obstacles).
+	// ray (nil under brute-force visibility or without obstacles).
 	vpg    *visindex.ViewpointGrid
 	elPool sync.Pool // *[]eligible
 	arPool sync.Pool // *covArena
@@ -123,10 +113,10 @@ func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
 	for t := range sc.DeviceTypes {
 		c.cosHalf[t] = math.Cos(sc.DeviceTypes[t].Alpha / 2)
 	}
-	if !cfg.NoPairPruning && len(sc.Devices) > 0 {
+	if len(sc.Devices) > 0 {
 		c.dgrid = visindex.NewDeviceGrid(pts, ct.DMax/2)
 	}
-	if !cfg.NoBatchedLOS && len(sc.Obstacles) > 0 {
+	if len(sc.Obstacles) > 0 {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 			c.vpg = ix.NewViewpointGrid(ct.DMax+prunePad, pts)
 		}
@@ -197,8 +187,7 @@ func (c *eligibleCache) tileDevices(center geom.Vec, slack float64) []int32 {
 
 // getEl / putEl pool the per-position eligibility slices. A slice is
 // returned to the pool by sweepPointAppend once its contents have been
-// copied into candidate Covers; EligibleAt's public result is simply never
-// returned, which is safe (the pool just doesn't see it again).
+// copied into candidate Covers.
 func (c *eligibleCache) getEl() (out []eligible, reused bool) {
 	if v := c.elPool.Get(); v != nil {
 		return (*v.(*[]eligible))[:0], true
@@ -214,7 +203,7 @@ func (c *eligibleCache) putEl(el []eligible) {
 }
 
 // rangeGates returns the squared charging-range gates with the ±geom.Eps
-// tolerances baked in, shared by the seed and overhauled scans.
+// tolerances baked in.
 func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
 	ct := c.ct
 	dmin2 = (ct.DMin - geom.Eps) * (ct.DMin - geom.Eps)
@@ -227,7 +216,6 @@ func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
 
 func (c *eligibleCache) at(p geom.Vec) []eligible {
 	los, batched, reuse := 0, 0, 0
-	sc := c.sc
 	ct := c.ct
 	dmin2, dmax2 := c.rangeGates()
 	var vp *visindex.Viewpoint
@@ -239,7 +227,7 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 		reuse++
 	}
 	switch {
-	case c.dgrid != nil && vp != nil:
+	case vp != nil:
 		// Tile-pruned scan: the per-tile device prefilter is computed once
 		// per viewpoint tile and shared by every position swept inside it,
 		// in ascending index order like the full scan.
@@ -268,10 +256,6 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 				out, los, batched = c.tryDevice(out, j, p, dmin2, dmax2, vp, los, batched)
 			}
 		}
-	default:
-		for j := range sc.Devices {
-			out, los, batched = c.tryDevice(out, j, p, dmin2, dmax2, vp, los, batched)
-		}
 	}
 	c.tracer.Add(hipotrace.CtrLOSQueries, int64(los))
 	c.tracer.Add(hipotrace.CtrLOSBatched, int64(batched))
@@ -281,7 +265,7 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 
 // tryDevice applies the exact eligibility predicates to device j and
 // appends it to out when chargeable from p. It is the single predicate
-// body behind both the full and grid-pruned scans, so the two paths can
+// body behind both the tile- and grid-pruned scans, so the two paths can
 // only differ in which provably-out-of-range devices they skip.
 func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax2 float64, vp *visindex.Viewpoint, los, batched int) ([]eligible, int, int) {
 	sc := c.sc
@@ -320,87 +304,7 @@ func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax
 	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), los, batched
 }
 
-// atSeed is the pre-overhaul eligibility scan, preserved verbatim as the
-// benchmark baseline arm and the reference side of the bit-identity test
-// wall: a full device scan with a fresh result slice and one independent
-// DDA grid walk per line-of-sight ray.
-func (c *eligibleCache) atSeed(p geom.Vec) []eligible {
-	los := 0
-	defer func() { c.tracer.Add(hipotrace.CtrLOSQueries, int64(los)) }()
-	sc := c.sc
-	dmin2, dmax2 := c.rangeGates()
-	var out []eligible
-	for j := range sc.Devices {
-		out, los, _ = c.tryDevice(out, j, p, dmin2, dmax2, nil, los, 0)
-	}
-	return out
-}
-
-// sweepPointSeed is the pre-overhaul Algorithm 1 sweep, preserved verbatim
-// alongside atSeed for the baseline arm: per-position signature map,
-// freshly allocated index sets, and a post-hoc sort of every candidate's
-// Covers.
-func sweepPointSeed(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCache) []Candidate {
-	el := cache.atSeed(p)
-	if len(el) == 0 {
-		return nil
-	}
-	ct := sc.ChargerTypes[q]
-	if ct.Alpha >= 2*math.Pi-geom.Eps {
-		// Omnidirectional charger: a single strategy covers everything.
-		return []Candidate{makeCandidateSeed(p, 0, q, el, allIdx(len(el)))}
-	}
-	half := ct.Alpha / 2
-
-	var cands []Candidate
-	seen := make(map[string]bool)
-	for _, e := range el {
-		phi := geom.NormAngle(e.theta + half)
-		var idx []int
-		for i, f := range el {
-			if geom.AbsAngleDiff(phi, f.theta) <= half+geom.Eps {
-				idx = append(idx, i)
-			}
-		}
-		sig := idxSignature(el, idx)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		cands = append(cands, makeCandidateSeed(p, phi, q, el, idx))
-	}
-	return filterLocalDominated(cands)
-}
-
-func idxSignature(el []eligible, idx []int) string {
-	buf := make([]byte, 0, len(idx)*4)
-	for _, i := range idx {
-		d := el[i].device
-		buf = append(buf, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-	}
-	return string(buf)
-}
-
-func makeCandidateSeed(p geom.Vec, phi float64, q int, el []eligible, idx []int) Candidate {
-	c := Candidate{S: model.Strategy{Pos: p, Orient: phi, Type: q}}
-	c.Covers = make([]DevPower, 0, len(idx))
-	for _, i := range idx {
-		c.Covers = append(c.Covers, DevPower{Device: el[i].device, Power: el[i].pw})
-	}
-	sort.Slice(c.Covers, func(a, b int) bool { return c.Covers[a].Device < c.Covers[b].Device })
-	return c
-}
-
-// SweepPoint implements Algorithm 1: it rotates a charger of type q at
-// point p through 360° and returns one candidate per practical dominating
-// coverage set. Orientations are chosen at the critical positions where a
-// device is about to fall out of the charging sector.
-func SweepPoint(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []Candidate {
-	return sweepPointSeed(sc, q, p, newEligibleCache(sc, q, Config{Eps1: eps1, NoPairPruning: true, NoBatchedLOS: true}))
-}
-
-// sweepScratch carries the per-chunk reusable state of the overhauled
-// sweep: the orientation index scratch and the Covers arena. One scratch
+// sweepScratch carries the per-chunk reusable state of the sweep: the orientation index scratch and the Covers arena. One scratch
 // serves every position of a sweep chunk, so per-position allocations
 // vanish entirely.
 type sweepScratch struct {
@@ -408,12 +312,15 @@ type sweepScratch struct {
 	ar  *covArena
 }
 
-// sweepPointAppend is the overhauled Algorithm 1 sweep: it appends point
-// p's candidates to buf and returns the extended slice. Output (order
-// included) is bit-for-bit identical to sweepPointSeed's; only the
-// bookkeeping differs — pooled eligibility slices, a shared index scratch,
-// direct cover comparisons instead of a per-position signature map, and
-// arena-carved Covers built in device order with no post-hoc sort.
+// sweepPointAppend is Algorithm 1: it rotates a charger of type q at point
+// p through 360° and appends one candidate per practical dominating
+// coverage set to buf, choosing orientations at the critical positions
+// where a device is about to fall out of the charging sector. Output
+// (order included) is bit-for-bit identical to the seed sweep preserved in
+// internal/pdcs/pdcsref; only the bookkeeping differs — pooled eligibility
+// slices, a shared index scratch, direct cover comparisons instead of a
+// per-position signature map, and arena-carved Covers built in device
+// order with no post-hoc sort.
 func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCache, scr *sweepScratch, buf []Candidate) []Candidate {
 	el := cache.at(p)
 	if len(el) == 0 {
@@ -478,10 +385,6 @@ func hasSameCover(cands []Candidate, el []eligible, idx []int) bool {
 		}
 	}
 	return false
-}
-
-func allIdx(n int) []int {
-	return allIdxInto(nil, n)
 }
 
 func allIdxInto(out []int, n int) []int {
@@ -549,71 +452,88 @@ func coversSubset(a, b []DevPower) bool {
 }
 
 // Extract runs the full PDCS extraction for charger type q: candidate
-// positions from internal/discretize, Algorithm 1 at each (parallelized
-// over positions with cfg.Workers goroutines), then global dominance
-// filtering (Algorithm 2 step 9) unless cfg.SkipDominanceFilter. Results
-// are deterministic regardless of worker count: per-position outputs are
-// concatenated in position order.
+// positions from internal/discretize, then ExtractAt over them. Results are
+// deterministic regardless of worker count.
 //
 //hipo:hotpath
 func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
+	sc = cfg.ensureVisibility(sc)
+	endDisc := cfg.Tracer.StartStage(hipotrace.StageDiscretize, typeLabel(q))
+	positions := discretize.CandidatePositions(sc, q, discretize.Config{
+		Eps1:                  cfg.Eps1,
+		Workers:               cfg.Workers,
+		SkipPairConstructions: cfg.SkipPairConstructions,
+		BruteForceVisibility:  cfg.BruteForceVisibility,
+		Tracer:                cfg.Tracer,
+	})
+	endDisc()
+	return ExtractAt(sc, q, positions, cfg, nil)
+}
+
+// Memo lends ExtractAt the per-position sweep outputs of earlier
+// extractions of the same charger type (internal/incremental). ExtractAt
+// calls Lookup once per position, in position order, before sweeping, and
+// then Store once per position Lookup missed, in position order, with
+// candidates that own their Covers privately. A position's sweep output is
+// a pure function of the scenario geometry within d_max of it, the charger
+// type, and ε₁, so a memo that drops every entry a mutation could reach
+// reproduces a fresh extraction bit for bit.
+type Memo interface {
+	Lookup(p geom.Vec) ([]Candidate, bool)
+	Store(p geom.Vec, cands []Candidate)
+}
+
+// sweepChunk is the number of positions one sweep task covers: one output
+// buffer, index scratch, and Covers arena serve them all.
+const sweepChunk = 256
+
+// ExtractAt is the single Algorithm 1 driver. It sweeps every position of
+// type q in contiguous chunks on cfg.Workers goroutines (0 = GOMAXPROCS)
+// and feeds the outputs, in position order, to the streaming reducer and
+// the exact global dominance filter (Algorithm 2 step 9). With
+// cfg.SkipDominanceFilter it returns the concatenated per-position outputs
+// instead — each already free of candidates dominated at its own position.
+// A non-nil memo serves positions swept by an earlier call and receives
+// the fresh ones; with a nil memo nothing is retained past the call.
+// Returned candidates own their Covers.
+//
+//hipo:hotpath
+func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo Memo) []Candidate {
 	sc = cfg.ensureVisibility(sc)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tr := cfg.Tracer
-	label := typeLabel(q)
-	endDisc := tr.StartStage(hipotrace.StageDiscretize, label)
-	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                  cfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		NoPairPruning:         cfg.NoPairPruning,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
-		Tracer:                tr,
-	})
-	endDisc()
-	tr.Add(hipotrace.CtrCandidatePositions, int64(len(positions)))
-
-	endSweep := tr.StartStage(hipotrace.StagePDCS, label)
+	endSweep := tr.StartStage(hipotrace.StagePDCS, typeLabel(q))
 	defer endSweep()
+	tr.Add(hipotrace.CtrCandidatePositions, int64(len(positions)))
 	cache := newEligibleCache(sc, q, cfg)
 	cache.tracer = tr
 	tr.Add(hipotrace.CtrPowerLevels, cache.powerLevels)
-	// With every accelerator disabled, run the preserved pre-overhaul
-	// pipeline: per-position sweeps, full concatenation, then the global
-	// dominance filter. That combination is the benchmark baseline arm and
-	// must reproduce the seed pipeline faithfully, costs included. Its
-	// output is bit-for-bit identical to the overhauled path below (the
-	// bit-identity wall checks this).
-	if cfg.NoPairPruning && cfg.NoBatchedLOS {
-		perPos := schedule.RunPool(len(positions), workers, func(i int) []Candidate {
-			return sweepPointSeed(sc, q, positions[i], cache)
-		})
-		var cands []Candidate
-		for _, cs := range perPos {
-			cands = append(cands, cs...)
-		}
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(cands)))
-		if cfg.SkipDominanceFilter {
-			tr.Add(hipotrace.CtrCandidatesKept, int64(len(cands)))
-			return cands
-		}
-		kept := FilterDominated(cands, len(sc.Devices))
-		tr.Add(hipotrace.CtrCandidatesKept, int64(len(kept)))
-		return kept
-	}
 
-	// Overhauled arm: positions are swept in contiguous chunks (one output
-	// buffer, index scratch, and Covers arena per chunk), and the chunk
-	// outputs — concatenated in chunk order, which is position order — feed
-	// the streaming reducer before the exact dominance filter.
-	const sweepChunk = 256
-	nChunks := (len(positions) + sweepChunk - 1) / sweepChunk
-	perChunk := schedule.RunPool(nChunks, workers, func(ci int) []Candidate {
+	// With a memo, only the positions it cannot serve are swept, and ends
+	// records where each swept position's output stops within its chunk so
+	// fresh outputs can be stored per position.
+	fresh := positions
+	var hit [][]Candidate
+	var isHit []bool
+	var ends []int32
+	if memo != nil {
+		fresh = nil
+		hit = make([][]Candidate, len(positions))
+		isHit = make([]bool, len(positions))
+		for i, p := range positions {
+			if hit[i], isHit[i] = memo.Lookup(p); !isHit[i] {
+				fresh = append(fresh, p)
+			}
+		}
+		ends = make([]int32, len(fresh))
+	}
+	nChunks := (len(fresh) + sweepChunk - 1) / sweepChunk
+	chunks := schedule.RunPool(nChunks, workers, func(ci int) []Candidate {
 		lo := ci * sweepChunk
-		hi := min(lo+sweepChunk, len(positions))
+		hi := min(lo+sweepChunk, len(fresh))
 		ar, reused := cache.getArena()
 		if reused {
 			tr.Add(hipotrace.CtrPoolReuse, 1)
@@ -621,32 +541,62 @@ func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
 		scr := sweepScratch{ar: ar}
 		var buf []Candidate
 		for i := lo; i < hi; i++ {
-			buf = sweepPointAppend(sc, q, positions[i], cache, &scr, buf)
+			buf = sweepPointAppend(sc, q, fresh[i], cache, &scr, buf)
+			if ends != nil {
+				ends[i] = int32(len(buf))
+			}
 		}
 		cache.putArena(ar)
 		return buf
 	})
-	if cfg.SkipDominanceFilter {
-		var cands []Candidate
-		for _, cs := range perChunk {
-			cands = append(cands, cs...)
-		}
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(cands)))
-		tr.Add(hipotrace.CtrCandidatesKept, int64(len(cands)))
-		detachCovers(cands)
-		return cands
+
+	// The candidate stream, in position order, goes through the streaming
+	// reducer — or, with the dominance filter skipped, is concatenated.
+	var out []Candidate
+	var red *streamReducer
+	if !cfg.SkipDominanceFilter {
+		red = newStreamReducer(len(sc.Devices))
 	}
-	red := newStreamReducer(len(sc.Devices))
-	for _, cs := range perChunk {
+	feed := func(cs []Candidate) {
+		if red == nil {
+			out = append(out, cs...)
+			return
+		}
 		for i := range cs {
 			red.add(cs[i])
 		}
 	}
-	tr.Add(hipotrace.CtrCandidatesRaw, int64(red.raw))
-	kept := FilterDominated(red.final(), len(sc.Devices))
-	tr.Add(hipotrace.CtrCandidatesKept, int64(len(kept)))
-	detachCovers(kept)
-	return kept
+	if memo == nil {
+		for _, cs := range chunks {
+			feed(cs)
+		}
+	} else {
+		k := 0 // index of the next fresh position
+		for i, p := range positions {
+			if isHit[i] {
+				feed(hit[i])
+				continue
+			}
+			start := int32(0)
+			if k%sweepChunk > 0 {
+				start = ends[k-1]
+			}
+			own := append([]Candidate(nil), chunks[k/sweepChunk][start:ends[k]]...)
+			detachCovers(own)
+			memo.Store(p, own)
+			feed(own)
+			k++
+		}
+	}
+	if red == nil {
+		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(out)))
+	} else {
+		tr.Add(hipotrace.CtrCandidatesRaw, int64(red.raw))
+		out = FilterDominated(red.final(), len(sc.Devices))
+	}
+	tr.Add(hipotrace.CtrCandidatesKept, int64(len(out)))
+	detachCovers(out)
+	return out
 }
 
 // typeLabel renders the charger-type span label used in trace breakdowns
@@ -667,23 +617,6 @@ type Config struct {
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
-	// NoPairPruning disables the spatial prefilters — the device grid that
-	// narrows neighbor sets, eligibility scans and usefulness tests, and
-	// the obstacle-box pruning in discretization. Output is bit-for-bit
-	// identical either way (the prefilters are conservative supersets
-	// re-checked by the exact predicates); this is the benchmark baseline
-	// arm and the reference side of the bit-identity test wall.
-	NoPairPruning bool
-	// NoBatchedLOS disables per-viewpoint line-of-sight batching and
-	// answers every eligibility ray with an independent DDA grid walk.
-	// Same bit-identity contract as NoPairPruning.
-	NoBatchedLOS bool
-	// Clock, when non-nil, supplies the timestamps behind the per-task
-	// durations of DistStats (Algorithm 5's LPT simulation input). It is
-	// injected by measurement harnesses (internal/expt) so the extraction
-	// pipeline itself never reads the wall clock and stays deterministic;
-	// with a nil Clock all reported durations are zero.
-	Clock func() time.Time
 	// Tracer, when non-nil, receives stage spans (discretize, pdcs) and the
 	// pipeline counters of internal/hipotrace. Sweep hot paths count into
 	// locals and flush per call; a nil Tracer costs nothing.

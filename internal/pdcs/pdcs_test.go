@@ -34,9 +34,20 @@ func ringScenario() *model.Scenario {
 	return sc
 }
 
+// eligibleAt runs the production eligibility scan at a single point.
+func eligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
+	cfg := Config{Eps1: eps1}
+	return newEligibleCache(cfg.ensureVisibility(sc), q, cfg).at(p)
+}
+
+// sweepPoint runs Algorithm 1 at a single point through the sweep driver.
+func sweepPoint(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []Candidate {
+	return ExtractAt(sc, q, []geom.Vec{p}, Config{Eps1: eps1, SkipDominanceFilter: true}, nil)
+}
+
 func TestEligibleAt(t *testing.T) {
 	sc := ringScenario()
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	if len(el) != 6 {
 		t.Fatalf("eligible = %d, want 6", len(el))
 	}
@@ -46,7 +57,7 @@ func TestEligibleAt(t *testing.T) {
 		}
 	}
 	// Out of range position.
-	if el := EligibleAt(sc, 0, geom.V(0, 0), 0.4); len(el) != 0 {
+	if el := eligibleAt(sc, 0, geom.V(0, 0), 0.4); len(el) != 0 {
 		t.Errorf("far position eligible = %d", len(el))
 	}
 }
@@ -55,14 +66,14 @@ func TestEligibleRespectsReceivingSector(t *testing.T) {
 	sc := ringScenario()
 	sc.DeviceTypes[0].Alpha = math.Pi / 2 // narrow receiving
 	// Devices face the center, so the center is eligible for all.
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	if len(el) != 6 {
 		t.Fatalf("center eligible = %d, want 6", len(el))
 	}
 	// A point behind device 0 (outside its receiving sector) must exclude
 	// device 0. Device 0 sits at (25,20) facing π (towards −x); a charger at
 	// (29,20) is behind it.
-	el = EligibleAt(sc, 0, geom.V(29, 20), 0.4)
+	el = eligibleAt(sc, 0, geom.V(29, 20), 0.4)
 	for _, e := range el {
 		if e.device == 0 {
 			t.Error("device 0 should not be eligible from behind")
@@ -74,7 +85,7 @@ func TestEligibleObstacle(t *testing.T) {
 	sc := ringScenario()
 	// Wall between center and device 0 at (25,20).
 	sc.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}}
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	for _, e := range el {
 		if e.device == 0 {
 			t.Error("blocked device 0 should not be eligible")
@@ -87,7 +98,7 @@ func TestEligibleObstacle(t *testing.T) {
 
 func TestSweepPointMaximality(t *testing.T) {
 	sc := ringScenario()
-	cands := SweepPoint(sc, 0, geom.V(20, 20), 0.4)
+	cands := sweepPoint(sc, 0, geom.V(20, 20), 0.4)
 	if len(cands) == 0 {
 		t.Fatal("no candidates from sweep")
 	}
@@ -119,7 +130,7 @@ func TestSweepPointMaximality(t *testing.T) {
 func TestSweepPointOmnidirectional(t *testing.T) {
 	sc := ringScenario()
 	sc.ChargerTypes[0].Alpha = 2 * math.Pi
-	cands := SweepPoint(sc, 0, geom.V(20, 20), 0.4)
+	cands := sweepPoint(sc, 0, geom.V(20, 20), 0.4)
 	if len(cands) != 1 {
 		t.Fatalf("omnidirectional candidates = %d, want 1", len(cands))
 	}
@@ -131,7 +142,7 @@ func TestSweepPointOmnidirectional(t *testing.T) {
 func TestSweepPointWideAngleCoversAll(t *testing.T) {
 	sc := ringScenario()
 	sc.ChargerTypes[0].Alpha = 2*math.Pi - 0.05
-	cands := SweepPoint(sc, 0, geom.V(20, 20), 0.4)
+	cands := sweepPoint(sc, 0, geom.V(20, 20), 0.4)
 	best := 0
 	for _, c := range cands {
 		if len(c.Covers) > best {

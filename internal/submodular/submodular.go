@@ -17,8 +17,6 @@ package submodular
 import (
 	"container/heap"
 	"math"
-	"runtime"
-	"sync"
 
 	"hipo/internal/hipotrace"
 )
@@ -137,19 +135,6 @@ func GreedyPerType(inst *Instance) Result {
 // still has budget) with the largest marginal gain, across all partitions.
 // This is the classic 1/2-approximate greedy for a partition matroid.
 func GreedyGlobal(inst *Instance) Result {
-	return greedyGlobal(inst, 1)
-}
-
-// GreedyGlobalParallel is GreedyGlobal with marginal gains of each round
-// evaluated concurrently across workers goroutines (0 means GOMAXPROCS).
-func GreedyGlobalParallel(inst *Instance, workers int) Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return greedyGlobal(inst, workers)
-}
-
-func greedyGlobal(inst *Instance, workers int) Result {
 	st := newState(inst)
 	used := make([]bool, len(inst.Elements))
 	remaining := append([]int(nil), inst.Budget...)
@@ -162,20 +147,14 @@ func greedyGlobal(inst *Instance, workers int) Result {
 	defer func() { inst.Tracer.Add(hipotrace.CtrGainEvals, evals) }()
 	for len(sel) < total {
 		best, bestGain := -1, 0.0
-		if workers == 1 || len(inst.Elements) < 256 {
-			for e := range inst.Elements {
-				if (used[e] && !inst.AllowRepeat) || remaining[inst.Elements[e].Part] == 0 {
-					continue
-				}
-				evals++
-				if g := st.gain(e); g > bestGain {
-					best, bestGain = e, g
-				}
+		for e := range inst.Elements {
+			if (used[e] && !inst.AllowRepeat) || remaining[inst.Elements[e].Part] == 0 {
+				continue
 			}
-		} else {
-			var n int64
-			best, bestGain, n = parallelArgmax(inst, st, used, remaining, workers)
-			evals += n
+			evals++
+			if g := st.gain(e); g > bestGain {
+				best, bestGain = e, g
+			}
 		}
 		if best < 0 {
 			break
@@ -186,59 +165,6 @@ func greedyGlobal(inst *Instance, workers int) Result {
 		sel = append(sel, best)
 	}
 	return Result{Selected: sel, Value: st.val}
-}
-
-// parallelArgmax fans the marginal-gain scan out over index-disjoint
-// chunks and merges the per-worker winners.
-//
-//hipo:order-invariant workers write only their own indexed result slot and the merge loop scans slots in index order with a lower-index tiebreak, so the argmax never depends on goroutine completion order
-func parallelArgmax(inst *Instance, st *state, used []bool, remaining []int, workers int) (int, float64, int64) {
-	type hit struct {
-		e int
-		g float64
-		n int64 // gains evaluated in this chunk
-	}
-	n := len(inst.Elements)
-	chunk := (n + workers - 1) / workers
-	results := make([]hit, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			results[w] = hit{-1, 0, 0}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			best, bestGain := -1, 0.0
-			evals := int64(0)
-			for e := lo; e < hi; e++ {
-				if (used[e] && !inst.AllowRepeat) || remaining[inst.Elements[e].Part] == 0 {
-					continue
-				}
-				evals++
-				if g := st.gain(e); g > bestGain {
-					best, bestGain = e, g
-				}
-			}
-			results[w] = hit{best, bestGain, evals}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	best, bestGain := -1, 0.0
-	evals := int64(0)
-	for _, h := range results {
-		evals += h.n
-		// Deterministic tie-break on the lower element index keeps parallel
-		// and serial runs identical.
-		if h.e >= 0 && (h.g > bestGain+1e-15 ||
-			(math.Abs(h.g-bestGain) <= 1e-15 && (best < 0 || h.e < best))) {
-			best, bestGain = h.e, h.g
-		}
-	}
-	return best, bestGain, evals
 }
 
 // lazyItem is a heap entry for CELF: a cached (possibly stale) upper bound

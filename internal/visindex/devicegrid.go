@@ -101,12 +101,3 @@ func EachSet(mask []uint64, fn func(i int)) {
 		}
 	}
 }
-
-// CountSet returns the number of set bits in mask.
-func CountSet(mask []uint64) int {
-	n := 0
-	for _, m := range mask {
-		n += bits.OnesCount64(m)
-	}
-	return n
-}

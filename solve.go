@@ -40,8 +40,10 @@ func (o options) core() core.Options {
 }
 
 // WithEps sets the approximation parameter ε ∈ (0, 1/2) of the 1/2 − ε
-// guarantee (default 0.15). Smaller ε means finer power approximation, more
-// candidate strategies, and longer runtimes.
+// guarantee (default 0.15; zero also selects the default). Smaller ε means
+// finer power approximation, more candidate strategies, and longer
+// runtimes. Solve, NewIncremental, and SolveIncremental reject any other
+// value outside (0, 1/2), NaN included.
 func WithEps(eps float64) Option { return func(o *options) { o.eps = eps } }
 
 // WithPerTypeGreedy selects the paper's Algorithm 3 (partitions processed
@@ -65,8 +67,7 @@ func WithContext(ctx context.Context) Option {
 // answers every line-of-sight / obstacle-containment query by exhaustive
 // obstacle scan. Placements are identical with or without the index — the
 // option exists as the differential reference for testing and as the
-// baseline arm of cmd/hipobench. Setting the HIPO_BRUTE_FORCE_VISIBILITY
-// environment variable (any non-empty value) has the same effect globally.
+// baseline arm of cmd/hipobench.
 func WithBruteForceVisibility() Option {
 	return func(o *options) { o.bruteForce = true }
 }
