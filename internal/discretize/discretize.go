@@ -401,6 +401,14 @@ func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 	return NewGenerator(sc, q, cfg).Positions(nil)
 }
 
+// workers resolves cfg.Workers (0 = GOMAXPROCS).
+func (g *Generator) workers() int {
+	if g.cfg.Workers > 0 {
+		return g.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Positions assembles the candidate positions from the per-device tasks:
 // workloads run on cfg.Workers goroutines (0 = GOMAXPROCS), handed out in
 // LPT order under the shared TaskCost model so the longest tasks start
@@ -413,10 +421,7 @@ func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 // and nil entries are generated and written back. With a nil cache the
 // workloads live in pooled buffers for the duration of the call.
 func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
-	workers := g.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := g.workers()
 	var todo []schedule.Task
 	for i := range g.sc.Devices {
 		if tasks == nil || tasks[i] == nil {
@@ -442,9 +447,14 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 		}
 		all = tasks
 	}
-	dd := newDeduper()
+	raw := 0
 	for _, pts := range all {
-		dd.add(pts...)
+		raw += len(pts)
+	}
+	g.cfg.Tracer.Add(hipotrace.CtrPositionsRaw, int64(raw))
+	dd := newDeduper(raw)
+	for _, pts := range all {
+		dd.add(pts)
 		if tasks == nil {
 			putPosBuf(pts)
 		}
@@ -452,18 +462,46 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 	return g.FilterUseful(dd.points)
 }
 
+// filterChunk is the fewest positions FilterUseful hands to one worker;
+// below it a goroutine costs more than the range tests it would run.
+const filterChunk = 1024
+
 // FilterUseful keeps, in place, the positions within charging range of at
 // least one device. It only distance-tests the devices whose grid cells
 // overlap each position's d_max disk; the grid superset is re-checked by
 // the exact range predicate, so output matches an exhaustive device scan
-// bit for bit.
+// bit for bit. The predicate is pure per point, so contiguous chunks are
+// filtered on cfg.Workers goroutines and then compacted in order; the
+// result does not depend on the worker count.
 func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 	if g.dgrid == nil {
 		return pts[:0] // no devices: nothing is in range
 	}
+	workers := g.workers()
+	chunks := min(workers, (len(pts)+filterChunk-1)/filterChunk)
+	if chunks <= 1 {
+		return pts[:g.keepUseful(pts)]
+	}
+	size := (len(pts) + chunks - 1) / chunks
+	span := func(c int) []geom.Vec {
+		return pts[min(c*size, len(pts)):min((c+1)*size, len(pts))]
+	}
+	kept := schedule.RunPool(chunks, workers, func(c int) int {
+		return g.keepUseful(span(c))
+	})
+	n := 0
+	for c, k := range kept {
+		n += copy(pts[n:], span(c)[:k])
+	}
+	return pts[:n]
+}
+
+// keepUseful moves the useful positions of pts to its front, in order, and
+// returns their count.
+func (g *Generator) keepUseful(pts []geom.Vec) int {
 	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
 	mask := make([]uint64, g.dgrid.Words())
-	out := pts[:0]
+	n := 0
 	for _, p := range pts {
 		for w := range mask {
 			mask[w] = 0
@@ -478,17 +516,18 @@ func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 			}
 		}
 		if useful {
-			out = append(out, p)
+			pts[n] = p
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // Dedup removes near-duplicate points (1e-6 tolerance), preserving first
 // occurrences.
 func Dedup(pts []geom.Vec) []geom.Vec {
-	dd := newDeduper()
-	dd.add(pts...)
+	dd := newDeduper(len(pts))
+	dd.add(pts)
 	return dd.points
 }
 
@@ -542,36 +581,98 @@ func (g *Generator) eventAngleSamples(j int) []geom.Vec {
 	return out
 }
 
-// deduper removes near-duplicate points using a hash grid with cell size
-// equal to the tolerance.
+// dedupTol is the near-duplicate tolerance of Dedup and Positions, and the
+// side of the grid cells the deduper buckets kept points into.
+const dedupTol = 1e-6
+
+// deduper removes near-duplicate points: a point is dropped when an
+// earlier kept point lies within dedupTol of it. Kept points are bucketed
+// by their exact tol-sized grid cell (cx, cy) in a fixed-size
+// open-addressing table; each slot holds the cell's key and the head of an
+// intrusive chain of kept indices threaded through next. The table is
+// sized once from the number of points that will be offered, at load
+// factor ≤ ½, so it never grows and a probe always reaches an empty slot.
 type deduper struct {
-	tol    float64
-	cells  map[[2]int64][]int
 	points []geom.Vec
+	// next[k] is the kept index preceding k in k's cell chain (-1 ends).
+	next []int32
+	// keys[s] and heads[s] are slot s's cell and chain head (-1 = empty).
+	keys  [][2]int64
+	heads []int32
+	mask  uint64
+	shift uint // 64 − log₂(table size): Fibonacci hashing keeps the top bits
 }
 
-func newDeduper() *deduper {
-	return &deduper{tol: 1e-6, cells: make(map[[2]int64][]int)}
+// newDeduper returns a deduper for at most n offered points.
+func newDeduper(n int) *deduper {
+	size, shift := 1, uint(64)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	d := &deduper{
+		points: make([]geom.Vec, 0, n),
+		next:   make([]int32, 0, n),
+		keys:   make([][2]int64, size),
+		heads:  make([]int32, size),
+		mask:   uint64(size - 1),
+		shift:  shift,
+	}
+	for s := range d.heads {
+		d.heads[s] = -1
+	}
+	return d
 }
 
-func (d *deduper) add(pts ...geom.Vec) {
+// slot returns the table slot of cell key, and whether the cell is
+// present; when absent the slot is the empty one an insert would take.
+func (d *deduper) slot(key [2]int64) (uint64, bool) {
+	h := (uint64(key[0])*0x9E3779B97F4A7C15 ^ uint64(key[1])) * 0xC2B2AE3D27D4EB4F
+	for s := h >> d.shift; ; s = (s + 1) & d.mask {
+		if d.heads[s] < 0 {
+			return s, false
+		}
+		if d.keys[s] == key {
+			return s, true
+		}
+	}
+}
+
+func (d *deduper) add(pts []geom.Vec) {
 	for _, p := range pts {
 		d.addOne(p)
 	}
 }
 
 func (d *deduper) addOne(p geom.Vec) {
-	cx := int64(math.Floor(p.X / d.tol))
-	cy := int64(math.Floor(p.Y / d.tol))
+	cx := int64(math.Floor(p.X / dedupTol))
+	cy := int64(math.Floor(p.Y / dedupTol))
+	var home uint64 // p's own cell's slot, found or to be claimed
 	for dx := int64(-1); dx <= 1; dx++ {
 		for dy := int64(-1); dy <= 1; dy++ {
-			for _, idx := range d.cells[[2]int64{cx + dx, cy + dy}] {
-				if d.points[idx].Dist(p) <= d.tol {
+			s, ok := d.slot([2]int64{cx + dx, cy + dy})
+			if dx == 0 && dy == 0 {
+				home = s
+			}
+			if !ok {
+				continue
+			}
+			for k := d.heads[s]; k >= 0; k = d.next[k] {
+				q := d.points[k]
+				// Exact screen: Dist is at least either axis gap.
+				if math.Abs(q.X-p.X) > dedupTol || math.Abs(q.Y-p.Y) > dedupTol {
+					continue
+				}
+				if q.Dist(p) <= dedupTol {
 					return
 				}
 			}
 		}
 	}
+	if d.heads[home] < 0 {
+		d.keys[home] = [2]int64{cx, cy}
+	}
+	d.next = append(d.next, d.heads[home])
+	d.heads[home] = int32(len(d.points))
 	d.points = append(d.points, p)
-	d.cells[[2]int64{cx, cy}] = append(d.cells[[2]int64{cx, cy}], len(d.points)-1)
 }

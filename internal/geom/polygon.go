@@ -122,9 +122,12 @@ func (p Polygon) containsInterior(q Vec) bool {
 }
 
 // OnBoundary reports whether q lies on an edge of the polygon within Eps.
+// It walks the edges in Edges() order without materializing them, so the
+// point-in-obstacle test behind every feasibility query allocates nothing.
 func (p Polygon) OnBoundary(q Vec) bool {
-	for _, e := range p.Edges() {
-		if e.ContainsPoint(q) {
+	n := len(p.Vertices)
+	for i := 0; i < n; i++ {
+		if (Segment{p.Vertices[i], p.Vertices[(i+1)%n]}).ContainsPoint(q) {
 			return true
 		}
 	}
@@ -132,10 +135,12 @@ func (p Polygon) OnBoundary(q Vec) bool {
 }
 
 // IntersectsSegment reports whether segment s touches the polygon boundary
-// or has an endpoint inside the polygon.
+// or has an endpoint inside the polygon. Like OnBoundary it walks the
+// edges in place and allocates nothing.
 func (p Polygon) IntersectsSegment(s Segment) bool {
-	for _, e := range p.Edges() {
-		if SegmentsIntersect(e, s) {
+	n := len(p.Vertices)
+	for i := 0; i < n; i++ {
+		if SegmentsIntersect(Segment{p.Vertices[i], p.Vertices[(i+1)%n]}, s) {
 			return true
 		}
 	}

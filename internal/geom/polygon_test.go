@@ -149,6 +149,49 @@ func TestIntersectsSegment(t *testing.T) {
 	}
 }
 
+// TestPolygonPredicatesAllocationFree pins the boundary and segment
+// predicates behind every feasibility query to zero heap allocations, and
+// checks them against an Edges()-based scan.
+func TestPolygonPredicatesAllocationFree(t *testing.T) {
+	star := Poly(V(0, 0), V(4, 0), V(2, 1), V(4, 4), V(0, 4), V(1, 2))
+	probes := []Vec{V(2, 0), V(2, 1), V(3, 2.5), V(0.5, 2), V(1, 2), V(2, 2), V(5, 5), V(2, 0.5)}
+	for _, q := range probes {
+		want := false
+		for _, e := range star.Edges() {
+			want = want || e.ContainsPoint(q)
+		}
+		if got := star.OnBoundary(q); got != want {
+			t.Errorf("OnBoundary(%v) = %v, edge scan %v", q, got, want)
+		}
+	}
+	segs := []Segment{Seg(V(-1, 2), V(0.5, 2)), Seg(V(2, 3), V(3, 3)), Seg(V(5, 0), V(5, 5)), Seg(V(2, 1), V(2, -1))}
+	for _, s := range segs {
+		want := star.containsInterior(s.A) || star.containsInterior(s.B)
+		for _, e := range star.Edges() {
+			want = want || SegmentsIntersect(e, s)
+		}
+		if got := star.IntersectsSegment(s); got != want {
+			t.Errorf("IntersectsSegment(%v) = %v, edge scan %v", s, got, want)
+		}
+	}
+	var sink bool
+	if n := testing.AllocsPerRun(100, func() {
+		for _, q := range probes {
+			sink = sink != star.OnBoundary(q)
+		}
+	}); n != 0 {
+		t.Errorf("OnBoundary allocates %v times per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, s := range segs {
+			sink = sink != star.IntersectsSegment(s)
+		}
+	}); n != 0 {
+		t.Errorf("IntersectsSegment allocates %v times per run", n)
+	}
+	_ = sink
+}
+
 func TestPolygonBoundingBox(t *testing.T) {
 	p := Poly(V(2, 1), V(5, 4), V(3, 7), V(-1, 3))
 	lo, hi := p.BoundingBox()

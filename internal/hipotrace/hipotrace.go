@@ -102,6 +102,10 @@ const (
 	// gain table (GreedyLazyWarm) instead of being recomputed: each hit is
 	// one round-0 gain evaluation avoided on an incremental re-solve.
 	CtrLazyWarmHits
+	// CtrPositionsRaw counts positions entering discretization's dedup
+	// (every task's feasible positions, cached session tasks included):
+	// the first stage of the candidate funnel, ≥ CtrCandidatePositions.
+	CtrPositionsRaw
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -125,6 +129,7 @@ var counterNames = [NumCounters]string{
 	CtrLOSBatched:         "los_batched",
 	CtrPoolReuse:          "pool_reuse",
 	CtrLazyWarmHits:       "lazy_warm_hits",
+	CtrPositionsRaw:       "positions_raw",
 }
 
 // Name returns the counter's stable snake_case name.

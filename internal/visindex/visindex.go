@@ -246,7 +246,10 @@ func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 
 // PointInObstacle reports whether p lies strictly inside any obstacle,
 // using the exact Polygon.ContainsInterior predicate on the obstacles
-// registered in p's cell.
+// registered in p's cell. An obstacle whose padded box excludes p is
+// skipped first: the gridPad margin dominates the predicate's Eps, so a
+// point outside the box can be neither interior nor on the boundary, and
+// the screen is the same conservative contract cell registration relies on.
 func (ix *Index) PointInObstacle(p geom.Vec) bool {
 	if len(ix.obs) == 0 {
 		return false
@@ -256,6 +259,10 @@ func (ix *Index) PointInObstacle(p geom.Vec) bool {
 	}
 	cx, cy := ix.cellOf(p)
 	for _, h := range ix.cells[cy*ix.nx+cx] {
+		lo, hi := ix.boxLo[h], ix.boxHi[h]
+		if p.X < lo.X || p.X > hi.X || p.Y < lo.Y || p.Y > hi.Y {
+			continue
+		}
 		if ix.obs[h].Shape.ContainsInterior(p) {
 			return true
 		}
