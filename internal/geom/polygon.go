@@ -152,30 +152,45 @@ func (p Polygon) IntersectsSegment(s Segment) bool {
 // boundary other than merely touching at the segment's own endpoints. This
 // is the line-of-sight predicate of Equation (1): a charging ray that only
 // grazes an obstacle corner is not blocked, while one entering the obstacle
-// is.
+// is. Like OnBoundary it walks the edges in place and allocates nothing.
 func (p Polygon) BlocksSegment(s Segment) bool {
-	return p.BlocksSegmentEdges(s, p.Edges())
-}
-
-// BlocksSegmentEdges is BlocksSegment evaluated against a caller-supplied
-// edge list, which must be exactly p.Edges(). Hot paths that test many
-// segments against the same polygon (the visibility index walks, viewpoint
-// batching) pass a cached list so the predicate allocates nothing; the
-// answer is identical to BlocksSegment by construction.
-func (p Polygon) BlocksSegmentEdges(s Segment, edges []Segment) bool {
 	lo, hi := p.BoundingBox()
-	return p.BlocksSegmentEdgesBB(s, edges, lo, hi)
+	return p.BlocksSegmentCached(s, s.Dir().Len(), nil, lo, hi)
 }
 
-// BlocksSegmentEdgesBB is BlocksSegmentEdges with the polygon's bounding
-// box (exactly p.BoundingBox()) also supplied by the caller, for hot paths
-// that cache it alongside the edge list.
-func (p Polygon) BlocksSegmentEdgesBB(s Segment, edges []Segment, lo, hi Vec) bool {
-	// Degenerate-segment guard. The Len2 screen is decisive when it fails:
+// EdgeLens returns Dir().Len() of every edge, in Edges() order: the
+// per-edge lengths BlocksSegmentCached takes.
+func (p Polygon) EdgeLens() []float64 {
+	n := len(p.Vertices)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = p.Vertices[(i+1)%n].Sub(p.Vertices[i]).Len()
+	}
+	return out
+}
+
+// BlocksSegmentCached is BlocksSegment with its per-ray and per-polygon
+// constants supplied by the caller: sl must be exactly s.Dir().Len(), lens
+// exactly p.EdgeLens() (or nil, to compute each edge's length in place),
+// and lo, hi exactly p.BoundingBox(). Hot paths that test one ray against
+// many polygons and many rays against one polygon (the visibility index
+// walks, viewpoint batching) cache them, so no edge pays a Hypot; the
+// answer is identical to BlocksSegment by construction.
+//
+// Each edge's intersection with s is computed once. An interior crossing
+// or collinear interior overlap blocks at once; otherwise the contact
+// parameters are collected, because the segment may still pass through the
+// interior touching the boundary only at vertices (entering through one
+// vertex and leaving through another) or lie entirely inside: the midpoint
+// of every sub-interval between contacts is then tested for interior
+// containment.
+func (p Polygon) BlocksSegmentCached(s Segment, sl float64, lens []float64, lo, hi Vec) bool {
+	d := s.Dir()
+	l2 := d.Len2()
+	// Degenerate-segment guard. The l2 screen is decisive when it fails:
 	// computed |s|² > 4·Eps² forces the true length above ~2·Eps, so the
-	// rounded Len() is certainly above Eps and the Hypot call can be skipped
-	// without changing the branch taken.
-	if s.Dir().Len2() <= 4*Eps*Eps && s.Len() <= Eps {
+	// rounded length is certainly above Eps.
+	if l2 <= 4*Eps*Eps && sl <= Eps {
 		return false
 	}
 	// Cheap bounding-box rejection: line-of-sight tests dominate solver
@@ -187,37 +202,40 @@ func (p Polygon) BlocksSegmentEdgesBB(s Segment, edges []Segment, lo, hi Vec) bo
 		(s.A.Y < lo.Y-Eps && s.B.Y < lo.Y-Eps) || (s.A.Y > hi.Y+Eps && s.B.Y > hi.Y+Eps) {
 		return false
 	}
-	for _, e := range edges {
-		if SegmentsCrossInterior(s, e) {
-			return true
-		}
-	}
-	// The segment may pass through the interior touching only at vertices
-	// (e.g. entering through one vertex and exiting through another), or lie
-	// entirely inside. Sample interior points between boundary hits.
-	return p.interiorSampleBlocked(s, edges)
-}
-
-func (p Polygon) interiorSampleBlocked(s Segment, edges []Segment) bool {
-	// Collect parameters of all boundary contacts, then test the midpoint of
-	// every sub-interval for interior containment. The stack buffer covers
-	// typical contact counts; append spills to the heap only for segments
-	// grazing many edges.
+	// The stack buffer covers typical contact counts; append spills to the
+	// heap only for segments grazing many edges.
 	var tsBuf [12]float64
 	ts := append(tsBuf[:0], 0, 1)
-	d := s.Dir()
-	l2 := d.Len2()
+	vs := p.Vertices
+	for i, a := range vs {
+		b := vs[0]
+		if i+1 < len(vs) {
+			b = vs[i+1]
+		}
+		e := Segment{a, b}
+		var el float64
+		if lens != nil {
+			el = lens[i]
+		} else {
+			el = e.Dir().Len()
+		}
+		q, ok := segmentIntersection(s, e, sl, el)
+		if !ok {
+			// No unique point, but the two may still overlap collinearly.
+			if orient(s.A, s.B, a) == 0 && orient(s.A, s.B, b) == 0 && collinearInteriorOverlap(s, e) {
+				return true
+			}
+			continue
+		}
+		if !q.Eq(s.A) && !q.Eq(s.B) && !q.Eq(a) && !q.Eq(b) {
+			return true
+		}
+		ts = append(ts, max(0, min(1, q.Sub(s.A).Dot(d)/l2)))
+	}
 	if l2 <= 0 {
 		// Degenerate zero-length probe: a single point, blocked iff it sits
-		// strictly inside. Dividing by l2 below would poison every parameter
-		// with NaN.
+		// strictly inside; the contact parameters above divided by zero.
 		return p.containsInterior(s.A)
-	}
-	for _, e := range edges {
-		if q, ok := SegmentIntersection(s, e); ok {
-			t := q.Sub(s.A).Dot(d) / l2
-			ts = append(ts, math.Max(0, math.Min(1, t)))
-		}
 	}
 	sortFloats(ts)
 	for i := 0; i+1 < len(ts); i++ {

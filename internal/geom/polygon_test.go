@@ -150,8 +150,8 @@ func TestIntersectsSegment(t *testing.T) {
 }
 
 // TestPolygonPredicatesAllocationFree pins the boundary and segment
-// predicates behind every feasibility query to zero heap allocations, and
-// checks them against an Edges()-based scan.
+// predicates behind every feasibility and line-of-sight query to zero heap
+// allocations, and checks them against an Edges()-based scan.
 func TestPolygonPredicatesAllocationFree(t *testing.T) {
 	star := Poly(V(0, 0), V(4, 0), V(2, 1), V(4, 4), V(0, 4), V(1, 2))
 	probes := []Vec{V(2, 0), V(2, 1), V(3, 2.5), V(0.5, 2), V(1, 2), V(2, 2), V(5, 5), V(2, 0.5)}
@@ -188,6 +188,13 @@ func TestPolygonPredicatesAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("IntersectsSegment allocates %v times per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, s := range segs {
+			sink = sink != star.BlocksSegment(s)
+		}
+	}); n != 0 {
+		t.Errorf("BlocksSegment allocates %v times per run", n)
 	}
 	_ = sink
 }

@@ -30,7 +30,7 @@ func (s Segment) ClosestPoint(p Vec) Vec {
 		return s.A
 	}
 	t := p.Sub(s.A).Dot(d) / l2
-	t = math.Max(0, math.Min(1, t))
+	t = max(0, min(1, t))
 	return s.At(t)
 }
 
@@ -55,7 +55,10 @@ func orient(a, b, c Vec) int {
 	// L1 norms are a cheap upper bound on the Euclidean lengths; the scale
 	// only calibrates the Eps tolerance, so avoiding two hypot calls here
 	// matters on the line-of-sight hot path.
-	scale := math.Max(1, math.Max(math.Abs(v.X)+math.Abs(v.Y), math.Abs(w.X)+math.Abs(w.Y)))
+	// The builtin max is exact here: both norms are ≥ 0 or NaN, and where it
+	// differs from math.Max (one operand +Inf, the other NaN) the scale is
+	// +Inf versus NaN, and every comparison below is false either way.
+	scale := max(1, math.Abs(v.X)+math.Abs(v.Y), math.Abs(w.X)+math.Abs(w.Y))
 	switch {
 	case x > Eps*scale:
 		return 1
@@ -128,10 +131,18 @@ func collinearInteriorOverlap(s, t Segment) bool {
 // segments s and t, if one exists. Collinear overlapping segments report no
 // unique point (ok = false).
 func SegmentIntersection(s, t Segment) (Vec, bool) {
+	return segmentIntersection(s, t, s.Dir().Len(), t.Dir().Len())
+}
+
+// segmentIntersection is SegmentIntersection with the operand lengths
+// supplied by the caller: rl must be exactly s.Dir().Len() and ql exactly
+// t.Dir().Len(), so callers that cache them get the same bits without the
+// two Hypot calls.
+func segmentIntersection(s, t Segment, rl, ql float64) (Vec, bool) {
 	r := s.Dir()
 	q := t.Dir()
 	den := r.Cross(q)
-	scale := math.Max(1, r.Len()*q.Len())
+	scale := max(1, rl*ql)
 	if math.Abs(den) <= Eps*scale {
 		return Vec{}, false
 	}
@@ -142,7 +153,7 @@ func SegmentIntersection(s, t Segment) (Vec, bool) {
 	if u < -tol || u > 1+tol || v < -tol || v > 1+tol {
 		return Vec{}, false
 	}
-	return s.At(math.Max(0, math.Min(1, u))), true
+	return s.At(max(0, min(1, u))), true
 }
 
 // Ray is a half-infinite line from Origin in direction Dir (unnormalized).

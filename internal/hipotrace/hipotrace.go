@@ -94,9 +94,11 @@ const (
 	// per-viewpoint visindex.Viewpoint instead of an independent DDA walk
 	// per ray. Always ≤ CtrLOSQueries.
 	CtrLOSBatched
-	// CtrPoolReuse counts buffer reuses out of the extraction sync.Pools
-	// (candidate-point slices, eligibility slices, viewpoints): each reuse
-	// is one hot-loop allocation avoided.
+	// CtrPoolReuse counts buffer reuses out of the extraction sync.Pools:
+	// the Covers arenas of PDCS sweep chunks and discretization's position
+	// and scratch buffers. Each reuse is one hot-loop allocation avoided.
+	// (PDCS eligibility slices live in per-chunk scratch, not a pool, and
+	// are not counted.)
 	CtrPoolReuse
 	// CtrLazyWarmHits counts CELF heap seeds taken from a warm-start prior
 	// gain table (GreedyLazyWarm) instead of being recomputed: each hit is

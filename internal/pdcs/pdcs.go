@@ -89,7 +89,6 @@ type eligibleCache struct {
 	// obstacle collection per tile of positions instead of one DDA walk per
 	// ray (nil under brute-force visibility or without obstacles).
 	vpg    *visindex.ViewpointGrid
-	elPool sync.Pool // *[]eligible
 	arPool sync.Pool // *covArena
 }
 
@@ -185,23 +184,6 @@ func (c *eligibleCache) tileDevices(center geom.Vec, slack float64) []int32 {
 	return out
 }
 
-// getEl / putEl pool the per-position eligibility slices. A slice is
-// returned to the pool by sweepPointAppend once its contents have been
-// copied into candidate Covers.
-func (c *eligibleCache) getEl() (out []eligible, reused bool) {
-	if v := c.elPool.Get(); v != nil {
-		return (*v.(*[]eligible))[:0], true
-	}
-	return nil, false
-}
-
-func (c *eligibleCache) putEl(el []eligible) {
-	if cap(el) == 0 {
-		return
-	}
-	c.elPool.Put(&el)
-}
-
 // rangeGates returns the squared charging-range gates with the ±geom.Eps
 // tolerances baked in.
 func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
@@ -214,18 +196,18 @@ func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
 	return dmin2, dmax2
 }
 
-func (c *eligibleCache) at(p geom.Vec) []eligible {
-	los, batched, reuse := 0, 0, 0
+// at lists, in ascending device order, the devices chargeable from p,
+// appending them to buf[:0]: callers pass the previous position's slice
+// back in once its contents have been copied into candidate Covers.
+func (c *eligibleCache) at(p geom.Vec, buf []eligible) []eligible {
+	los, batched := 0, 0
 	ct := c.ct
 	dmin2, dmax2 := c.rangeGates()
 	var vp *visindex.Viewpoint
 	if c.vpg != nil {
 		vp = c.vpg.At(p)
 	}
-	out, outReused := c.getEl()
-	if outReused {
-		reuse++
-	}
+	out := buf[:0]
 	switch {
 	case vp != nil:
 		// Tile-pruned scan: the per-tile device prefilter is computed once
@@ -259,7 +241,6 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 	}
 	c.tracer.Add(hipotrace.CtrLOSQueries, int64(los))
 	c.tracer.Add(hipotrace.CtrLOSBatched, int64(batched))
-	c.tracer.Add(hipotrace.CtrPoolReuse, int64(reuse))
 	return out
 }
 
@@ -304,10 +285,12 @@ func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax
 	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), los, batched
 }
 
-// sweepScratch carries the per-chunk reusable state of the sweep: the orientation index scratch and the Covers arena. One scratch
-// serves every position of a sweep chunk, so per-position allocations
-// vanish entirely.
+// sweepScratch carries the per-chunk reusable state of the sweep: the
+// eligibility slice, the orientation index scratch and the Covers arena.
+// One scratch serves every position of a sweep chunk, so per-position
+// allocations vanish entirely.
 type sweepScratch struct {
+	el  []eligible
 	idx []int
 	ar  *covArena
 }
@@ -317,14 +300,14 @@ type sweepScratch struct {
 // coverage set to buf, choosing orientations at the critical positions
 // where a device is about to fall out of the charging sector. Output
 // (order included) is bit-for-bit identical to the seed sweep preserved in
-// internal/pdcs/pdcsref; only the bookkeeping differs — pooled eligibility
-// slices, a shared index scratch, direct cover comparisons instead of a
+// internal/pdcs/pdcsref; only the bookkeeping differs — a per-chunk
+// eligibility slice and index scratch, direct cover comparisons instead of a
 // per-position signature map, and arena-carved Covers built in device
 // order with no post-hoc sort.
 func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCache, scr *sweepScratch, buf []Candidate) []Candidate {
-	el := cache.at(p)
+	el := cache.at(p, scr.el)
+	scr.el = el
 	if len(el) == 0 {
-		cache.putEl(el)
 		return buf
 	}
 	ct := sc.ChargerTypes[q]
@@ -332,7 +315,6 @@ func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCach
 		// Omnidirectional charger: a single strategy covers everything.
 		scr.idx = allIdxInto(scr.idx, len(el))
 		buf = append(buf, makeCandidate(p, 0, q, el, scr.idx, scr.ar))
-		cache.putEl(el)
 		return buf
 	}
 	half := ct.Alpha / 2
@@ -360,7 +342,6 @@ func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCach
 		buf = append(buf, makeCandidate(p, phi, q, el, idx, scr.ar))
 	}
 	scr.idx = idx[:0]
-	cache.putEl(el)
 	kept := filterLocalDominated(buf[start:])
 	return buf[:start+len(kept)]
 }

@@ -37,7 +37,7 @@ func ringScenario() *model.Scenario {
 // eligibleAt runs the production eligibility scan at a single point.
 func eligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
 	cfg := Config{Eps1: eps1}
-	return newEligibleCache(cfg.ensureVisibility(sc), q, cfg).at(p)
+	return newEligibleCache(cfg.ensureVisibility(sc), q, cfg).at(p, nil)
 }
 
 // sweepPoint runs Algorithm 1 at a single point through the sweep driver.
@@ -93,6 +93,34 @@ func TestEligibleObstacle(t *testing.T) {
 	}
 	if len(el) != 5 {
 		t.Errorf("eligible = %d, want 5", len(el))
+	}
+}
+
+// TestEligibleAtAllocationFree pins the per-position eligibility scan to
+// zero heap allocations once the chunk's buffer is reused, on both the
+// device-grid path (no obstacles) and the viewpoint-tile path (obstacles,
+// batched line of sight, warm tile memos).
+func TestEligibleAtAllocationFree(t *testing.T) {
+	walled := ringScenario()
+	walled.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}, {Shape: geom.Rect(17, 19, 18, 21)}}
+	probes := []geom.Vec{geom.V(20, 20), geom.V(19.5, 21), geom.V(21, 19), geom.V(0, 0)}
+	for _, sc := range []*model.Scenario{ringScenario(), walled} {
+		cfg := Config{Eps1: 0.4}
+		c := newEligibleCache(cfg.ensureVisibility(sc), 0, cfg)
+		var buf []eligible
+		for _, p := range probes {
+			buf = c.at(p, buf) // warm the buffer and the tile memos
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			for _, p := range probes {
+				buf = c.at(p, buf)
+			}
+		}); n != 0 {
+			t.Errorf("%d obstacles: eligibleCache.at allocates %v times per run", len(sc.Obstacles), n)
+		}
+		if len(sc.Obstacles) > 0 && c.vpg == nil {
+			t.Fatal("obstacle scenario did not take the viewpoint-tile path")
+		}
 	}
 }
 

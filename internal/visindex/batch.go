@@ -129,6 +129,7 @@ func (vp *Viewpoint) LineOfSightTo(t int, a geom.Vec) bool {
 		return true
 	}
 	var seg geom.Segment
+	var sl float64
 	made := false
 	for _, h := range sur {
 		if !segIntersectsBox(a, b, vp.ix.boxLo[h], vp.ix.boxHi[h]) {
@@ -136,9 +137,10 @@ func (vp *Viewpoint) LineOfSightTo(t int, a geom.Vec) bool {
 		}
 		if !made {
 			seg = geom.Seg(a, b)
+			sl = seg.Dir().Len()
 			made = true
 		}
-		if vp.ix.obs[h].Shape.BlocksSegmentEdgesBB(seg, vp.ix.edges[h], vp.ix.bbLo[h], vp.ix.bbHi[h]) {
+		if vp.ix.obs[h].Shape.BlocksSegmentCached(seg, sl, vp.ix.lens[h], vp.ix.bbLo[h], vp.ix.bbHi[h]) {
 			return false
 		}
 	}

@@ -57,10 +57,11 @@ type Index struct {
 	// ObstaclesNearDisk prefilter test against them, so those paths inherit
 	// the grid's conservative-padding contract.
 	boxLo, boxHi []geom.Vec
-	// edges and bbLo/bbHi cache each obstacle's Polygon.Edges() and exact
-	// (unpadded) BoundingBox() so the exact blocking predicate runs
-	// allocation- and recompute-free on the hot paths.
-	edges      [][]geom.Segment
+	// lens and bbLo/bbHi cache each obstacle's Polygon.EdgeLens() and exact
+	// (unpadded) BoundingBox() for Polygon.BlocksSegmentCached, so the
+	// exact blocking predicate runs allocation-free and with no per-edge
+	// Hypot on the hot paths.
+	lens       [][]float64
 	bbLo, bbHi []geom.Vec
 
 	memo memoStore
@@ -119,13 +120,13 @@ func New(sc *model.Scenario) *Index {
 	pad := geom.V(gridPad, gridPad)
 	ix.boxLo = make([]geom.Vec, n)
 	ix.boxHi = make([]geom.Vec, n)
-	ix.edges = make([][]geom.Segment, n)
+	ix.lens = make([][]float64, n)
 	ix.bbLo = make([]geom.Vec, n)
 	ix.bbHi = make([]geom.Vec, n)
 	nSeg := 0
 	for h, o := range sc.Obstacles {
 		ix.all[h] = int32(h)
-		ix.edges[h] = o.Shape.Edges()
+		ix.lens[h] = o.Shape.EdgeLens()
 		lo, hi := o.Shape.BoundingBox()
 		ix.bbLo[h], ix.bbHi[h] = lo, hi
 		ix.boxLo[h], ix.boxHi[h] = lo.Sub(pad), hi.Add(pad)
@@ -203,8 +204,8 @@ func clampInt(v, hi int) int {
 
 // LineOfSight reports whether the open segment a–b is free of obstacles. It
 // walks the grid cells pierced by the segment (Amanatides–Woo DDA) and runs
-// the exact Polygon.BlocksSegment predicate on each obstacle encountered,
-// each at most once.
+// the exact Polygon.BlocksSegment predicate, in its cached form, on each
+// obstacle encountered, each at most once.
 func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 	if len(ix.obs) == 0 {
 		return true
@@ -216,6 +217,7 @@ func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 		return true
 	}
 	s := geom.Seg(a, b)
+	sl := s.Dir().Len()
 	// Visited-obstacle bitmask; stack-allocated for ≤ 256 obstacles.
 	words := (len(ix.obs) + 63) / 64
 	var maskBuf [4]uint64
@@ -233,7 +235,7 @@ func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 				continue
 			}
 			mask[w] |= bit
-			if ix.obs[h].Shape.BlocksSegment(s) {
+			if ix.obs[h].Shape.BlocksSegmentCached(s, sl, ix.lens[h], ix.bbLo[h], ix.bbHi[h]) {
 				blocked = true
 				return false
 			}

@@ -289,3 +289,55 @@ func TestClipToBox(t *testing.T) {
 		t.Fatalf("crossing segment clip = [%v,%v] ok=%v, want [1/3,2/3]", t0, t1, ok)
 	}
 }
+
+// TestLineOfSightAllocationFree pins the DDA walk (Index.LineOfSight, at
+// most 256 obstacles so the visited mask stays on the stack) and the
+// batched walk (Viewpoint.LineOfSightTo, once its per-target memos are
+// warm) to zero heap allocations, on rays many of which reach the exact
+// blocking predicate.
+func TestLineOfSightAllocationFree(t *testing.T) {
+	sc := randomScenario(99, 50)
+	ix := New(sc)
+	qs := benchQueries(7, 256)
+	blocked := 0
+	for _, q := range qs {
+		if !ix.LineOfSight(q.A, q.B) {
+			blocked++
+		}
+	}
+	if blocked == 0 || blocked == len(qs) {
+		t.Fatalf("%d of %d rays blocked: the predicate is not exercised both ways", blocked, len(qs))
+	}
+	var sink bool
+	if n := testing.AllocsPerRun(20, func() {
+		for _, q := range qs {
+			sink = sink != ix.LineOfSight(q.A, q.B)
+		}
+	}); n != 0 {
+		t.Errorf("Index.LineOfSight allocates %v times per run", n)
+	}
+
+	targets := make([]geom.Vec, 32)
+	for i := range targets {
+		targets[i] = qs[i].B
+	}
+	// rmax spans the whole field, so every ray stays on the batched path.
+	grid := ix.NewViewpointGrid(64, targets)
+	vps := make([]*Viewpoint, 64)
+	for i := range vps {
+		vps[i] = grid.At(qs[i].A)
+		for tg := range targets {
+			vps[i].LineOfSightTo(tg, qs[i].A) // warm the per-target memos
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i, vp := range vps {
+			for tg := range targets {
+				sink = sink != vp.LineOfSightTo(tg, qs[i].A)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Viewpoint.LineOfSightTo allocates %v times per run on warm memos", n)
+	}
+	_ = sink
+}
