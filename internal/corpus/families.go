@@ -197,8 +197,8 @@ func placeSampled(sc *model.Scenario, rng *rand.Rand, n int, sample func() geom.
 
 // ToPublic converts an internal scenario to the public schema, so corpus
 // items carry the exact JSON the server consumes and their hashes match
-// what hiposerve's cache computes (cmd/hipobench reuses this for the same
-// reason).
+// what hiposerve's cache computes (perfbench and internal/pdcs's identity
+// tests reuse this for the same reason).
 func ToPublic(sc *model.Scenario) *hipo.Scenario {
 	out := &hipo.Scenario{
 		Min: hipo.Point{X: sc.Region.Min.X, Y: sc.Region.Min.Y},

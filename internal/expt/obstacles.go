@@ -29,7 +29,8 @@ func RandomObstacles(rng *rand.Rand, n int) []model.Obstacle {
 // BenchScenario builds the Tables 2–4 hardware with nObstacles seeded
 // random obstacles and a device population scaled by deviceMult
 // (≤ 0 means the paper default). It is the deterministic scenario
-// trajectory of cmd/hipobench: one seed pins the whole scene.
+// trajectory of perfbench's workloads and of the differential tests that
+// sweep obstacle and device counts: one seed pins the whole scene.
 func BenchScenario(seed int64, nObstacles, deviceMult int) *model.Scenario {
 	if deviceMult <= 0 {
 		deviceMult = DefaultDeviceMult

@@ -11,9 +11,10 @@
 // flushed with a single Add per stage, and no allocation or atomic
 // operation happens on the no-tracer path (bench_test.go's
 // BenchmarkSolveNilTracer and the zero-alloc test in internal/submodular
-// guard this). Tracing never influences placement decisions — golden,
-// metamorphic, and hipobench differential suites assert traced and
-// untraced solves place bit-for-bit identically.
+// guard this). Tracing never influences placement decisions — golden and
+// metamorphic suites, internal/oracle's TestIndexedVsBruteForcePlacement
+// and internal/pdcs's TestExtractAllBenchTiers assert traced and untraced
+// solves place bit-for-bit identically.
 //
 // The package reads the wall clock (time.Now carries the monotonic
 // reading) and declares the wallclock-lint exemption below: it is a

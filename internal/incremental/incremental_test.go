@@ -5,7 +5,9 @@
 package incremental_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"hipo/internal/core"
@@ -81,10 +83,17 @@ func feasiblePoint(sc *model.Scenario) geom.Vec {
 	return c
 }
 
-// TestParityAcrossMutations drives one session through every mutation kind
-// and demands bit-identity with a cold solve at each step.
-func TestParityAcrossMutations(t *testing.T) {
-	sc := midScenario()
+// parityStep is one mutation of a parity run.
+type parityStep struct {
+	label string
+	mut   incremental.Mutation
+}
+
+// runParity primes a session on sc, checks the mutation-free fast path, then
+// applies the steps built from the session's scenario one at a time and
+// demands bit-identity with a cold solve after the prime and every step.
+func runParity(t *testing.T, sc *model.Scenario, steps func(cur *model.Scenario) []parityStep) incremental.Stats {
+	t.Helper()
 	opt := testOptions()
 	sess, err := incremental.NewSession(sc, opt)
 	if err != nil {
@@ -107,18 +116,7 @@ func TestParityAcrossMutations(t *testing.T) {
 		t.Fatal("mutation-free re-solve did not reuse the previous solution")
 	}
 
-	cur := sess.Scenario()
-	steps := []struct {
-		label string
-		mut   incremental.Mutation
-	}{
-		{"move", incremental.MoveDevice(0, feasiblePoint(cur), 1.25)},
-		{"add-device", incremental.AddDevice(model.Device{Pos: feasiblePoint(cur).Add(geom.V(1.3, -0.9)), Orient: 2.1, Type: 0})},
-		{"remove-device", incremental.RemoveDevice(1)},
-		{"add-obstacle", incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(
-			cur.Region.Min.X+2, cur.Region.Min.Y+2, cur.Region.Min.X+5, cur.Region.Min.Y+4)})},
-	}
-	for _, step := range steps {
+	for _, step := range steps(sess.Scenario()) {
 		if err := sess.Apply(step.mut); err != nil {
 			t.Fatalf("%s: %v", step.label, err)
 		}
@@ -127,17 +125,74 @@ func TestParityAcrossMutations(t *testing.T) {
 			t.Fatalf("%s: %v", step.label, err)
 		}
 		sameSolution(t, step.label, coldSolve(t, sess.Scenario(), opt), inc)
+		if len(inc.Placed) == 0 || inc.Utility <= 0 {
+			t.Fatalf("%s: degenerate placement: %d chargers, utility %v", step.label, len(inc.Placed), inc.Utility)
+		}
 	}
 
 	st := sess.Stats()
-	if st.TasksReused == 0 || st.SweepsReused == 0 {
-		t.Fatalf("no cache reuse across mutations — the blast radius is degenerate: %+v", st)
-	}
-	if st.GainsWarm == 0 {
-		t.Fatalf("no warm gain replays across mutations: %+v", st)
-	}
 	if st.FastPath != 1 {
 		t.Fatalf("fast path served %d times, want 1", st.FastPath)
+	}
+	return st
+}
+
+// TestParityAcrossMutations drives sessions through mutation sequences and
+// demands bit-identity with a cold solve at each step: every mutation kind
+// on a mid-sized scenario, and on the seeded benchmark tiers (up to 200
+// obstacles × 200 devices) a device move, a device add, and the removal of
+// the added device, at positions drawn by a seeded rejection sampler.
+func TestParityAcrossMutations(t *testing.T) {
+	t.Run("mid", func(t *testing.T) {
+		st := runParity(t, midScenario(), func(cur *model.Scenario) []parityStep {
+			return []parityStep{
+				{"move", incremental.MoveDevice(0, feasiblePoint(cur), 1.25)},
+				{"add-device", incremental.AddDevice(model.Device{Pos: feasiblePoint(cur).Add(geom.V(1.3, -0.9)), Orient: 2.1, Type: 0})},
+				{"remove-device", incremental.RemoveDevice(1)},
+				{"add-obstacle", incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(
+					cur.Region.Min.X+2, cur.Region.Min.Y+2, cur.Region.Min.X+5, cur.Region.Min.Y+4)})},
+			}
+		})
+		if st.TasksReused == 0 || st.SweepsReused == 0 {
+			t.Fatalf("no cache reuse across mutations — the blast radius is degenerate: %+v", st)
+		}
+		if st.GainsWarm == 0 {
+			t.Fatalf("no warm gain replays across mutations: %+v", st)
+		}
+	})
+
+	const seed = 1
+	for _, tier := range []struct{ obstacles, deviceMult int }{{10, 4}, {50, 4}, {100, 10}, {200, 20}} {
+		t.Run(fmt.Sprintf("bench-%d-obstacles-x%d", tier.obstacles, tier.deviceMult), func(t *testing.T) {
+			if tier.obstacles >= 100 && testing.Short() {
+				t.Skip("benchmark-scale tier")
+			}
+			st := runParity(t, expt.BenchScenario(seed, tier.obstacles, tier.deviceMult), func(cur *model.Scenario) []parityStep {
+				rng := rand.New(rand.NewSource(seed + 104729))
+				feasible := func() geom.Vec {
+					for {
+						p := geom.V(cur.Region.Min.X+rng.Float64()*cur.Region.Width(),
+							cur.Region.Min.Y+rng.Float64()*cur.Region.Height())
+						if cur.FeasiblePosition(p) {
+							return p
+						}
+					}
+				}
+				return []parityStep{
+					{"move", incremental.MoveDevice(0, feasible(), rng.Float64()*2*math.Pi)},
+					{"add-device", incremental.AddDevice(model.Device{Pos: feasible(), Orient: rng.Float64() * 2 * math.Pi})},
+					// Remove the device just added, so every step is a
+					// single-device edit against a comparable population.
+					{"remove-added-device", incremental.RemoveDevice(len(cur.Devices))},
+				}
+			})
+			if st.Mutations != 3 || st.Solves != 4 {
+				t.Fatalf("session counters off: %+v", st)
+			}
+			if st.TasksReused+st.SweepsReused == 0 {
+				t.Fatalf("warm session reused nothing: %+v", st)
+			}
+		})
 	}
 }
 

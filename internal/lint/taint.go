@@ -44,7 +44,7 @@ import (
 //
 // Sinks are the exported surfaces the bit-identity wall guards: exported
 // returns of hipo.Placement, ScenarioHash inputs, the JSON report writers
-// of hipobench/hipoload/expt/loadrun, and servemetrics' Prometheus text
+// of hipoload/expt/loadrun, and servemetrics' Prometheus text
 // output. A sink argument reaching the sink while order-tainted — or any
 // emission happening inside an order context — is a detorder finding
 // unless the function is annotated //hipo:order-invariant <reason>.
@@ -234,7 +234,6 @@ var taintReportPkgs = map[string]bool{
 	"hipo/internal/servemetrics": true,
 	"hipo/internal/loadrun":      true,
 	"hipo/internal/expt":         true,
-	"hipo/cmd/hipobench":         true,
 	"hipo/cmd/hipoload":          true,
 }
 

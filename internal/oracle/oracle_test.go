@@ -1,11 +1,14 @@
 package oracle
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"hipo/internal/core"
+	"hipo/internal/expt"
 	"hipo/internal/geom"
+	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/submodular"
 )
@@ -211,39 +214,93 @@ func TestSolveMatchesInstanceGreedy(t *testing.T) {
 	}
 }
 
-// TestIndexedVsBruteForcePlacement is the end-to-end differential: the
-// spatial index must not change the solver's output in any bit — same
-// strategies, same order, same utility.
+// TestIndexedVsBruteForcePlacement is the end-to-end differential: neither
+// the spatial index nor an attached tracer may change the solver's output
+// in any bit — same strategies, same order, same utility. It runs the tiny
+// scenarios and the seeded expt.BenchScenario sweep (obstacle count,
+// device population, finer ε), and checks the traced arm's breakdown
+// carries every stage and the pipeline counters.
 func TestIndexedVsBruteForcePlacement(t *testing.T) {
+	type input struct {
+		name string
+		sc   *model.Scenario
+		opt  core.Options
+	}
+	var inputs []input
 	for variant := 0; variant <= 1; variant++ {
-		sc := tinyScenario(variant)
-		opt := coarseOptions()
+		inputs = append(inputs, input{fmt.Sprintf("tiny-%d", variant), tinyScenario(variant), coarseOptions()})
+	}
+	for _, p := range []struct {
+		obstacles, deviceMult int
+		eps                   float64
+	}{
+		{2, 4, 0.3}, {10, 4, 0.3}, {25, 4, 0.3}, {50, 4, 0.3},
+		{10, 2, 0.3}, {10, 6, 0.3}, {10, 4, 0.15},
+	} {
+		opt := core.DefaultOptions()
+		opt.Eps = p.eps
+		inputs = append(inputs, input{
+			fmt.Sprintf("bench-%d-obstacles-x%d-eps-%v", p.obstacles, p.deviceMult, p.eps),
+			expt.BenchScenario(1, p.obstacles, p.deviceMult), opt,
+		})
+	}
 
-		opt.BruteForceVisibility = true
-		brute, err := core.Solve(sc, opt)
-		if err != nil {
-			t.Fatalf("variant %d brute: %v", variant, err)
-		}
-		opt.BruteForceVisibility = false
-		indexed, err := core.Solve(sc, opt)
-		if err != nil {
-			t.Fatalf("variant %d indexed: %v", variant, err)
-		}
-
-		if len(brute.Placed) != len(indexed.Placed) {
-			t.Fatalf("variant %d: %d strategies brute force, %d indexed", variant, len(brute.Placed), len(indexed.Placed))
-		}
-		for i := range brute.Placed {
-			b, x := brute.Placed[i], indexed.Placed[i]
-			if math.Float64bits(b.Pos.X) != math.Float64bits(x.Pos.X) ||
-				math.Float64bits(b.Pos.Y) != math.Float64bits(x.Pos.Y) ||
-				math.Float64bits(b.Orient) != math.Float64bits(x.Orient) ||
-				b.Type != x.Type {
-				t.Fatalf("variant %d: strategy %d differs: brute force %+v, indexed %+v", variant, i, b, x)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			opt := in.opt
+			solve := func(arm string) *core.Solution {
+				t.Helper()
+				sol, err := core.Solve(in.sc, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", arm, err)
+				}
+				return sol
 			}
-		}
-		if math.Float64bits(brute.Utility) != math.Float64bits(indexed.Utility) {
-			t.Fatalf("variant %d: utility %v brute force, %v indexed", variant, brute.Utility, indexed.Utility)
-		}
+			opt.BruteForceVisibility = true
+			brute := solve("brute force")
+			opt.BruteForceVisibility = false
+			indexed := solve("indexed")
+			opt.Tracer = hipotrace.New()
+			traced := solve("traced")
+
+			for _, pair := range []struct {
+				arm       string
+				want, got *core.Solution
+			}{{"indexed", brute, indexed}, {"traced", indexed, traced}} {
+				if len(pair.want.Placed) != len(pair.got.Placed) {
+					t.Fatalf("%s: %d strategies, reference %d", pair.arm, len(pair.got.Placed), len(pair.want.Placed))
+				}
+				for i := range pair.want.Placed {
+					b, x := pair.want.Placed[i], pair.got.Placed[i]
+					if math.Float64bits(b.Pos.X) != math.Float64bits(x.Pos.X) ||
+						math.Float64bits(b.Pos.Y) != math.Float64bits(x.Pos.Y) ||
+						math.Float64bits(b.Orient) != math.Float64bits(x.Orient) ||
+						b.Type != x.Type {
+						t.Fatalf("%s: strategy %d differs: reference %+v, got %+v", pair.arm, i, b, x)
+					}
+				}
+				if math.Float64bits(pair.want.Utility) != math.Float64bits(pair.got.Utility) {
+					t.Fatalf("%s: utility %v, reference %v", pair.arm, pair.got.Utility, pair.want.Utility)
+				}
+			}
+
+			tr := opt.Tracer.Breakdown()
+			if tr.TotalMs <= 0 {
+				t.Fatalf("empty trace: %+v", tr)
+			}
+			for _, stage := range []string{"discretize", "pdcs", "greedy"} {
+				if _, ok := tr.StageTotalsMs[stage]; !ok {
+					t.Fatalf("trace lacks stage %q: %v", stage, tr.StageTotalsMs)
+				}
+			}
+			for _, ctr := range []string{"los_queries", "gain_evals", "candidates_kept"} {
+				if tr.Counters[ctr] <= 0 {
+					t.Fatalf("trace counter %s is %d", ctr, tr.Counters[ctr])
+				}
+			}
+			if raw, swept := tr.Counters["positions_raw"], tr.Counters["candidate_positions"]; swept <= 0 || raw < swept {
+				t.Fatalf("trace funnel: positions_raw %d, candidate_positions %d", raw, swept)
+			}
+		})
 	}
 }

@@ -3,7 +3,9 @@
 // entry point built on pdcs.ExtractAt — Extract at one and four workers, an
 // incremental session's first solve and its re-solve after each mutation
 // op, and the GPPDCS baseline's grid sweep — and the outputs must agree bit
-// for bit.
+// for bit. TestExtractAllBenchTiers repeats the ExtractAll comparison, with
+// traced arms, on the benchmark's seeded tiers up to 200 obstacles × 200
+// devices.
 //
 // This file is an external test package so it can import internal/corpus,
 // which depends on the public hipo API and hence, transitively, on pdcs
@@ -21,6 +23,7 @@ import (
 	"hipo/internal/corpus"
 	"hipo/internal/expt"
 	"hipo/internal/geom"
+	"hipo/internal/hipotrace"
 	"hipo/internal/incremental"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
@@ -111,6 +114,70 @@ func TestBitIdentityWall(t *testing.T) {
 	if len(seen) < len(corpus.Names()) {
 		t.Fatalf("only %d distinct scenario hashes across %d families — the wall is not covering the corpus",
 			len(seen), len(corpus.Names()))
+	}
+}
+
+// TestExtractAllBenchTiers is the extraction differential at benchmark
+// scale: seeded expt.BenchScenario tiers up to 200 obstacles × 200 devices
+// go through the seed pipeline with a tracer, ExtractAll, and ExtractAll
+// with a tracer. All three candidate sets must agree bit for bit, both
+// traces must carry a pdcs stage span, and the traced ExtractAll must show
+// the batched line-of-sight walk and the arena pool engaged. GPPDCS and
+// sessions are left to the wall above; at 200×200 they would only repeat
+// its checks at many times the cost.
+func TestExtractAllBenchTiers(t *testing.T) {
+	eps1 := power.Eps1ForEps(wallEps)
+	for _, tier := range []struct{ obstacles, deviceMult int }{{10, 4}, {100, 10}, {200, 20}} {
+		t.Run(fmt.Sprintf("%d-obstacles-x%d", tier.obstacles, tier.deviceMult), func(t *testing.T) {
+			if tier.obstacles >= 100 && testing.Short() {
+				t.Skip("benchmark-scale tier")
+			}
+			sc := expt.BenchScenario(1, tier.obstacles, tier.deviceMult)
+			if len(sc.Devices) != 10*tier.deviceMult {
+				t.Fatalf("device multiplier %d gave %d devices", tier.deviceMult, len(sc.Devices))
+			}
+			hash, err := corpus.ToPublic(sc).ScenarioHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := corpus.ToPublic(expt.BenchScenario(1, tier.obstacles, tier.deviceMult)).ScenarioHash()
+			if err != nil || again != hash {
+				t.Fatalf("scenario hash not reproducible for a fixed seed: %s then %s (%v)", hash, again, err)
+			}
+
+			refTr, tr := hipotrace.New(), hipotrace.New()
+			ref := pdcsref.ExtractAll(fresh(sc), pdcs.Config{Eps1: eps1, Tracer: refTr})
+			got := extractWith(sc, pdcs.Config{Eps1: eps1})
+			traced := extractWith(sc, pdcs.Config{Eps1: eps1, Tracer: tr})
+			if !candidatesBitIdentical(ref, got) {
+				t.Fatalf("scenario %s: ExtractAll diverged from the seed pipeline", hash)
+			}
+			if !candidatesBitIdentical(got, traced) {
+				t.Fatalf("scenario %s: tracing changed the extracted candidates", hash)
+			}
+			n := 0
+			for _, cs := range got {
+				n += len(cs)
+			}
+			if n == 0 {
+				t.Fatal("extraction produced no candidates")
+			}
+			for _, arm := range []struct {
+				name string
+				tr   *hipotrace.Tracer
+			}{{"seed", refTr}, {"ExtractAll", tr}} {
+				st := arm.tr.Breakdown().StageTotalsMs
+				if _, ok := st["pdcs"]; !ok {
+					t.Fatalf("%s trace lacks the pdcs stage: %v", arm.name, st)
+				}
+			}
+			ctr := tr.Breakdown().Counters
+			for _, name := range []string{"los_queries", "candidates_kept", "los_batched", "pool_reuse"} {
+				if ctr[name] <= 0 {
+					t.Fatalf("traced ExtractAll counter %s is %d", name, ctr[name])
+				}
+			}
+		})
 	}
 }
 

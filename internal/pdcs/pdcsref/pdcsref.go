@@ -4,8 +4,9 @@
 // dominance filter over the whole raw candidate stream. Production
 // extraction (internal/pdcs) must match it bit for bit: the identity wall
 // in internal/pdcs checks every production entry point against it, and
-// cmd/hipobench times it as the baseline arm. Candidate positions come from
-// internal/discretize, whose prefilters its own tests check.
+// TestExtractAllBenchTiers checks ExtractAll up to 200 obstacles × 200
+// devices. Candidate positions come from internal/discretize, whose
+// prefilters its own tests check.
 package pdcsref
 
 import (

@@ -13,8 +13,10 @@
 // use, so indexed and brute-force answers agree bit for bit. Obstacles are
 // registered into every cell their ε-padded bounding box overlaps, and the
 // padding strictly exceeds every tolerance those predicates apply, so no
-// interacting obstacle can be missed by the walk. Differential tests and
-// cmd/hipobench enforce the contract on randomized scenarios.
+// interacting obstacle can be missed by the walk. Differential tests here,
+// TestLineOfSightMatchesBruteForceOnBenchScenarios on the benchmark
+// scenarios, and internal/oracle's TestIndexedVsBruteForcePlacement on
+// whole solves enforce the contract.
 //
 // An Index is immutable after New and safe for concurrent readers; the
 // memos use sync.Map. Build one per model.Scenario (Ensure does this and

@@ -15,12 +15,11 @@ import (
 type Option func(*options)
 
 type options struct {
-	eps        float64
-	variant    core.GreedyVariant
-	workers    int
-	ctx        context.Context
-	bruteForce bool
-	tracer     *Tracer
+	eps     float64
+	variant core.GreedyVariant
+	workers int
+	ctx     context.Context
+	tracer  *Tracer
 }
 
 func buildOptions(opts []Option) options {
@@ -34,8 +33,7 @@ func buildOptions(opts []Option) options {
 func (o options) core() core.Options {
 	return core.Options{
 		Eps: o.eps, Variant: o.variant, Workers: o.workers, Ctx: o.ctx,
-		BruteForceVisibility: o.bruteForce,
-		Tracer:               o.tracer.internal(),
+		Tracer: o.tracer.internal(),
 	}
 }
 
@@ -61,15 +59,6 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // pipeline stages; the solve returns the context's error once observed.
 func WithContext(ctx context.Context) Option {
 	return func(o *options) { o.ctx = ctx }
-}
-
-// WithBruteForceVisibility disables the spatial visibility index and
-// answers every line-of-sight / obstacle-containment query by exhaustive
-// obstacle scan. Placements are identical with or without the index — the
-// option exists as the differential reference for testing and as the
-// baseline arm of cmd/hipobench.
-func WithBruteForceVisibility() Option {
-	return func(o *options) { o.bruteForce = true }
 }
 
 // WithContinuousGreedy selects the continuous greedy of the paper's
