@@ -398,7 +398,8 @@ func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 	if !cfg.BruteForceVisibility {
 		sc = visindex.Ensure(sc)
 	}
-	return NewGenerator(sc, q, cfg).Positions(nil)
+	g := NewGenerator(sc, q, cfg)
+	return g.FilterUseful(g.Positions(nil))
 }
 
 // workers resolves cfg.Workers (0 = GOMAXPROCS).
@@ -409,12 +410,13 @@ func (g *Generator) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Positions assembles the candidate positions from the per-device tasks:
-// workloads run on cfg.Workers goroutines (0 = GOMAXPROCS), handed out in
-// LPT order under the shared TaskCost model so the longest tasks start
-// first, then are deduplicated in task order (first occurrence wins) and
-// filtered for usefulness. Results are deterministic regardless of worker
-// count or hand-out order.
+// Positions assembles the deduplicated candidate positions from the
+// per-device tasks: workloads run on cfg.Workers goroutines (0 =
+// GOMAXPROCS), handed out in LPT order under the shared TaskCost model so
+// the longest tasks start first, then are deduplicated in task order
+// (first occurrence wins). FilterUseful is the last step of
+// CandidatePositions. Results are deterministic regardless of worker count
+// or hand-out order.
 //
 // tasks, when non-nil, is a per-device cache of task workloads carried
 // across calls (internal/incremental): non-nil entries are reused verbatim
@@ -459,7 +461,7 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 			putPosBuf(pts)
 		}
 	}
-	return g.FilterUseful(dd.points)
+	return dd.points
 }
 
 // filterChunk is the fewest positions FilterUseful hands to one worker;

@@ -14,17 +14,21 @@
 //     depends only on geometry within d_max of the position, and the cold
 //     Extract is exactly "sweep positions in order, reduce, dominance-filter".
 //
-// A Session therefore caches per-task position lists and per-position sweep
-// outputs, computes a conservative blast radius for every mutation
-// (2·d_max + pad for tasks, d_max + pad for sweeps), and drops only what
-// the radius touches. Solving hands the caches to the cold path's own
-// drivers — discretize's Generator.Positions and pdcs.ExtractAt, which
-// recompute exactly the missing entries and reassemble in cold order — and
-// selects through core.SelectWith, so every incremental solve is bit-for-bit
-// identical to core.Solve on the mutated scenario. The parity tests in this
-// package (TestParityAcrossMutations runs up to 200 obstacles × 200
-// devices) and the identity wall in internal/pdcs enforce exactly that, not
-// an approximate agreement.
+// A Session therefore caches per-task position lists and, per charger
+// type, a pdcs.Memo: a pointer-free store of per-position sweep outputs.
+// It computes a conservative blast radius for every mutation (2·d_max + pad
+// for tasks, d_max + pad for sweeps) and drops only what the radius
+// touches. Solving hands the caches to the cold path's own drivers —
+// discretize's Generator.Positions and pdcs.ExtractAt, which recompute
+// exactly the missing entries and reassemble in cold order — and selects
+// through core.SelectWith, so every incremental solve is bit-for-bit
+// identical to core.Solve on the mutated scenario. Only the positions the
+// store does not hold go through discretize's FilterUseful, because a held
+// position is certified useful (see pdcs.Memo), and each solve ends one
+// store generation: positions the solve did not use drop out. The parity
+// tests in this package (TestParityAcrossMutations runs up to 200 obstacles
+// × 200 devices) and the identity wall in internal/pdcs enforce exactly
+// that, not an approximate agreement.
 //
 // Selection is warm-started: round-0 singleton gains are content-addressed
 // by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
@@ -106,41 +110,14 @@ type Stats struct {
 	GainsCold       int // round-0 gains recomputed
 }
 
-// posKey is the exact bit pattern of a candidate position — the sweep-cache
-// key. Positions survive dedup with their first-occurrence bits, so equal
-// geometry always rebuilds the same key.
-type posKey struct{ x, y uint64 }
-
-func keyOf(p geom.Vec) posKey {
-	return posKey{math.Float64bits(p.X), math.Float64bits(p.Y)}
-}
-
 // typeState is the per-charger-type cache.
 type typeState struct {
 	// taskPos[i] is the cached (not deduplicated) position workload of
 	// discretize task i; nil marks it dirty.
 	taskPos [][]geom.Vec
-	// sweep maps a candidate position to its Algorithm 1 output. Values own
-	// their Covers privately.
-	sweep map[posKey][]pdcs.Candidate
-	// stats receives the sweep hit and miss counts.
-	stats *Stats
-}
-
-// Lookup serves a cached sweep (pdcs.Memo).
-func (ts *typeState) Lookup(p geom.Vec) ([]pdcs.Candidate, bool) {
-	cs, ok := ts.sweep[keyOf(p)]
-	if ok {
-		ts.stats.SweepsReused++
-	} else {
-		ts.stats.SweepsComputed++
-	}
-	return cs, ok
-}
-
-// Store caches a fresh sweep (pdcs.Memo).
-func (ts *typeState) Store(p geom.Vec, cands []pdcs.Candidate) {
-	ts.sweep[keyOf(p)] = cands
+	// sweep holds the Algorithm 1 outputs of the positions of the last
+	// solve that no mutation has reached since.
+	sweep pdcs.Memo
 }
 
 // Session incrementally re-solves one scenario under a mutation stream.
@@ -189,11 +166,7 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	}
 	s.types = make([]*typeState, len(s.sc.ChargerTypes))
 	for q := range s.types {
-		s.types[q] = &typeState{
-			taskPos: make([][]geom.Vec, len(s.sc.Devices)),
-			sweep:   make(map[posKey][]pdcs.Candidate),
-			stats:   &s.stats,
-		}
+		s.types[q] = &typeState{taskPos: make([][]geom.Vec, len(s.sc.Devices))}
 	}
 	return s, nil
 }
@@ -202,7 +175,15 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 func (s *Session) Scenario() *model.Scenario { return s.sc.Clone() }
 
 // Stats returns the cumulative cache counters.
-func (s *Session) Stats() Stats { return s.stats }
+func (s *Session) Stats() Stats {
+	st := s.stats
+	for _, ts := range s.types {
+		hits, stores := ts.sweep.Counts()
+		st.SweepsReused += hits
+		st.SweepsComputed += stores
+	}
+	return st
+}
 
 // Apply applies the mutations in order. Each mutation is validated against
 // the current scenario before it lands; on error the earlier mutations of
@@ -240,19 +221,14 @@ func (s *Session) applyOne(m Mutation) error {
 		s.sc.Devices = append(s.sc.Devices[:m.Index], s.sc.Devices[m.Index+1:]...)
 		for _, ts := range s.types {
 			ts.taskPos = append(ts.taskPos[:m.Index], ts.taskPos[m.Index+1:]...)
-			// Surviving sweeps are > d_max from the removed device, so it
-			// never appears in their Covers; later device indices shift down.
-			for _, cs := range ts.sweep {
-				for i := range cs {
-					for c := range cs[i].Covers {
-						if cs[i].Covers[c].Device > m.Index {
-							cs[i].Covers[c].Device--
-						}
-					}
-				}
-			}
 		}
+		// Sweeps surviving the invalidation are > d_max from the removed
+		// device, so it never appears in their Covers; later device indices
+		// shift down.
 		s.invalidateAround(old, old)
+		for _, ts := range s.types {
+			ts.sweep.RemoveDevice(m.Index)
+		}
 		s.gains, s.gainsOK = nil, false
 		return nil
 
@@ -302,11 +278,7 @@ func (s *Session) applyOne(m Mutation) error {
 				ts.taskPos[i] = nil
 			}
 			rs := s.sc.ChargerTypes[q].DMax + invPad
-			for k := range ts.sweep {
-				if distToBox(vecOf(k), lo, hi) <= rs {
-					delete(ts.sweep, k)
-				}
-			}
+			ts.sweep.DropIf(func(p geom.Vec) bool { return distToBox(p, lo, hi) <= rs })
 		}
 		return nil
 
@@ -356,17 +328,8 @@ func (s *Session) invalidateAround(a, b geom.Vec) {
 			}
 		}
 		rs := ct.DMax + invPad
-		for k := range ts.sweep {
-			p := vecOf(k)
-			if p.Dist(a) <= rs || p.Dist(b) <= rs {
-				delete(ts.sweep, k)
-			}
-		}
+		ts.sweep.DropIf(func(p geom.Vec) bool { return p.Dist(a) <= rs || p.Dist(b) <= rs })
 	}
-}
-
-func vecOf(k posKey) geom.Vec {
-	return geom.Vec{X: math.Float64frombits(k.x), Y: math.Float64frombits(k.y)}
 }
 
 func bbox(vs []geom.Vec) (lo, hi geom.Vec) {
@@ -393,13 +356,7 @@ func (s *Session) Solve() (*core.Solution, error) {
 		s.stats.FastPath++
 		return s.prev, nil
 	}
-	dcfg := discretize.Config{
-		Eps1:                  s.opt.Eps1(),
-		Workers:               s.opt.Workers,
-		SkipPairConstructions: s.opt.SkipPairConstructions,
-		BruteForceVisibility:  s.opt.BruteForceVisibility,
-		Tracer:                s.opt.Tracer,
-	}
+	dcfg := s.discretizeConfig()
 	pcfg := pdcs.Config{
 		Eps1:                  dcfg.Eps1,
 		Workers:               dcfg.Workers,
@@ -416,21 +373,9 @@ func (s *Session) Solve() (*core.Solution, error) {
 				s.stats.TasksReused++
 			}
 		}
-		positions := discretize.NewGenerator(s.sc, q, dcfg).Positions(ts.taskPos)
-		cands[q] = pdcs.ExtractAt(s.sc, q, positions, pcfg, ts)
-		// Mark-and-sweep: drop cache entries no current position references,
-		// bounding the cache at the live position count.
-		if len(ts.sweep) > len(positions) {
-			live := make(map[posKey]bool, len(positions))
-			for _, p := range positions {
-				live[keyOf(p)] = true
-			}
-			for k := range ts.sweep {
-				if !live[k] {
-					delete(ts.sweep, k)
-				}
-			}
-		}
+		positions := s.positions(q, dcfg)
+		cands[q] = pdcs.ExtractAt(s.sc, q, positions, pcfg, &ts.sweep)
+		ts.sweep.End()
 	}
 
 	sol, err := core.SelectWith(s.sc, cands, s.opt, s.greedyWarm)
@@ -440,6 +385,52 @@ func (s *Session) Solve() (*core.Solution, error) {
 	s.prev, s.fresh = sol, true
 	s.stats.Solves++
 	return sol, nil
+}
+
+func (s *Session) discretizeConfig() discretize.Config {
+	return discretize.Config{
+		Eps1:                  s.opt.Eps1(),
+		Workers:               s.opt.Workers,
+		SkipPairConstructions: s.opt.SkipPairConstructions,
+		BruteForceVisibility:  s.opt.BruteForceVisibility,
+		Tracer:                s.opt.Tracer,
+	}
+}
+
+// positions returns the candidate positions of charger type q —
+// discretize.CandidatePositions on the current scenario, bit for bit —
+// regenerating only the dirty tasks and filtering for usefulness only the
+// positions the sweep store does not hold: a held position is certified
+// useful (see pdcs.Memo).
+func (s *Session) positions(q int, dcfg discretize.Config) []geom.Vec {
+	ts := s.types[q]
+	gen := discretize.NewGenerator(s.sc, q, dcfg)
+	pts := gen.Positions(ts.taskPos)
+	held := make([]bool, len(pts))
+	var unheld []geom.Vec
+	for i, p := range pts {
+		if held[i] = ts.sweep.Holds(p); !held[i] {
+			unheld = append(unheld, p)
+		}
+	}
+	// FilterUseful keeps an in-order subsequence of unheld, and dedup left
+	// no two positions with the same bits.
+	kept := gen.FilterUseful(unheld)
+	out, k := pts[:0], 0
+	for i, p := range pts {
+		if !held[i] {
+			if k == len(kept) || !sameBits(kept[k], p) {
+				continue
+			}
+			k++
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func sameBits(a, b geom.Vec) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
 // greedyWarm is the lazy greedy with round-0 gains replayed from the

@@ -11,12 +11,15 @@ import (
 	"testing"
 
 	"hipo/internal/core"
+	"hipo/internal/corpus"
+	"hipo/internal/discretize"
 	"hipo/internal/expt"
 	"hipo/internal/geom"
 	"hipo/internal/incremental"
 	"hipo/internal/model"
 	"hipo/internal/oracle"
 	"hipo/internal/submodular"
+	"hipo/internal/visindex"
 )
 
 func testOptions() core.Options {
@@ -333,5 +336,98 @@ func TestMutationValidation(t *testing.T) {
 	}
 	if _, err := incremental.NewSession(sc, core.Options{SkipDominanceFilter: true}); err == nil {
 		t.Fatal("SkipDominanceFilter accepted")
+	}
+}
+
+// TestHeldPositionsAreUseful pins the sweep store's usefulness certificate
+// (pdcs.Memo): after a device move, a device add, the removal of the added
+// device and an obstacle insert, the positions a warm solve hands
+// pdcs.ExtractAt — held positions passed through unfiltered, the rest
+// through FilterUseful — equal, element for element, FilterUseful over the
+// full deduplicated list of a fresh generator.
+func TestHeldPositionsAreUseful(t *testing.T) {
+	dense, err := corpus.BuildModel(11, "dense-obstacles", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sc   *model.Scenario
+	}{
+		{"bench-3-obstacles-x2", expt.BenchScenario(3, 10, 2)},
+		{"corpus-dense-obstacles", dense},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := testOptions()
+			sess, err := incremental.NewSession(tc.sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			feasible := func(cur *model.Scenario) geom.Vec {
+				for {
+					p := geom.V(cur.Region.Min.X+rng.Float64()*cur.Region.Width(),
+						cur.Region.Min.Y+rng.Float64()*cur.Region.Height())
+					if cur.FeasiblePosition(p) {
+						return p
+					}
+				}
+			}
+			steps := []struct {
+				label string
+				mut   func(cur *model.Scenario) incremental.Mutation
+			}{
+				{"move", func(cur *model.Scenario) incremental.Mutation {
+					return incremental.MoveDevice(0, feasible(cur), rng.Float64()*2*math.Pi)
+				}},
+				{"add-device", func(cur *model.Scenario) incremental.Mutation {
+					return incremental.AddDevice(model.Device{Pos: feasible(cur), Orient: rng.Float64() * 2 * math.Pi})
+				}},
+				{"remove-added-device", func(cur *model.Scenario) incremental.Mutation {
+					return incremental.RemoveDevice(len(cur.Devices) - 1)
+				}},
+				{"add-obstacle", func(cur *model.Scenario) incremental.Mutation {
+					p := feasible(cur)
+					return incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(p.X, p.Y, p.X+1, p.Y+1)})
+				}},
+			}
+			for _, step := range steps {
+				// An obstacle drawn over a device is rejected and leaves the
+				// session as it was; draw again.
+				for {
+					if err := sess.Apply(step.mut(sess.Scenario())); err == nil {
+						break
+					}
+				}
+				cur := visindex.Ensure(sess.Scenario())
+				dcfg := discretize.Config{Eps1: opt.Eps1(), Workers: opt.Workers}
+				for q := range cur.ChargerTypes {
+					g := discretize.NewGenerator(cur, q, dcfg)
+					want := g.FilterUseful(g.Positions(nil))
+					got := sess.ExtractPositions(q)
+					if len(got) != len(want) {
+						t.Fatalf("%s: type %d: %d positions, FilterUseful keeps %d", step.label, q, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float64bits(got[i].X) != math.Float64bits(want[i].X) ||
+							math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) {
+							t.Fatalf("%s: type %d: position %d is %v, FilterUseful gives %v", step.label, q, i, got[i], want[i])
+						}
+					}
+				}
+				before := sess.Stats().SweepsReused
+				inc, err := sess.Solve()
+				if err != nil {
+					t.Fatalf("%s: %v", step.label, err)
+				}
+				sameSolution(t, step.label, coldSolve(t, sess.Scenario(), opt), inc)
+				if sess.Stats().SweepsReused == before {
+					t.Fatalf("%s: no held position was reused, the certificate went untested", step.label)
+				}
+			}
+		})
 	}
 }

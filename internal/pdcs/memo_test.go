@@ -1,12 +1,11 @@
 // Bit-identity tests for ExtractAt's memo path: per-position sweep outputs
-// cached by earlier calls and reassembled in position order must reproduce
-// Extract exactly, however the positions were split across calls — the
-// caching contract internal/incremental builds on.
+// held in a pdcs.Memo by earlier calls and reassembled in position order
+// must reproduce Extract exactly, however the positions were split across
+// calls — the caching contract internal/incremental builds on.
 package pdcs_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"hipo/internal/corpus"
@@ -18,35 +17,16 @@ import (
 	"hipo/internal/power"
 )
 
-// mapMemo is a pdcs.Memo keyed by exact position bits.
-type mapMemo struct {
-	m            map[[2]uint64][]pdcs.Candidate
-	hits, stores int
-}
-
-func key(p geom.Vec) [2]uint64 { return [2]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)} }
-
-func (m *mapMemo) Lookup(p geom.Vec) ([]pdcs.Candidate, bool) {
-	cs, ok := m.m[key(p)]
-	if ok {
-		m.hits++
-	}
-	return cs, ok
-}
-
-func (m *mapMemo) Store(p geom.Vec, cs []pdcs.Candidate) {
-	m.stores++
-	m.m[key(p)] = cs
-}
-
 // sweepReassemble fills a memo by sweeping all but the last of `batches`
 // interleaved position subsets in separate calls, then extracts over the
-// full position list, sweeping only the last subset.
+// full position list, sweeping only the last subset. No End runs in
+// between, so every batch survives until the reassembly; End afterwards
+// keeps exactly the reassembled positions.
 func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, batches int) []pdcs.Candidate {
 	t.Helper()
 	sc = fresh(sc)
 	positions := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: cfg.Eps1, Workers: cfg.Workers})
-	memo := &mapMemo{m: map[[2]uint64][]pdcs.Candidate{}}
+	memo := &pdcs.Memo{}
 	for b := 0; b < batches-1; b++ {
 		var sub []geom.Vec
 		for i := b; i < len(positions); i += batches {
@@ -54,10 +34,14 @@ func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, b
 		}
 		pdcs.ExtractAt(sc, q, sub, cfg, memo)
 	}
-	cached := memo.stores
+	_, cached := memo.Counts()
 	out := pdcs.ExtractAt(sc, q, positions, cfg, memo)
-	if memo.hits != cached || memo.stores != len(positions) {
-		t.Fatalf("memo served %d of %d cached positions and holds %d of %d", memo.hits, cached, memo.stores, len(positions))
+	if hits, stores := memo.Counts(); hits != cached || stores != len(positions) {
+		t.Fatalf("memo served %d of %d cached positions and stored %d of %d", hits, cached, stores, len(positions))
+	}
+	memo.End()
+	if memo.Len() != len(positions) {
+		t.Fatalf("memo holds %d positions after End, want %d", memo.Len(), len(positions))
 	}
 	return out
 }

@@ -451,19 +451,6 @@ func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
 	return ExtractAt(sc, q, positions, cfg, nil)
 }
 
-// Memo lends ExtractAt the per-position sweep outputs of earlier
-// extractions of the same charger type (internal/incremental). ExtractAt
-// calls Lookup once per position, in position order, before sweeping, and
-// then Store once per position Lookup missed, in position order, with
-// candidates that own their Covers privately. A position's sweep output is
-// a pure function of the scenario geometry within d_max of it, the charger
-// type, and ε₁, so a memo that drops every entry a mutation could reach
-// reproduces a fresh extraction bit for bit.
-type Memo interface {
-	Lookup(p geom.Vec) ([]Candidate, bool)
-	Store(p geom.Vec, cands []Candidate)
-}
-
 // sweepChunk is the number of positions one sweep task covers: one output
 // buffer, index scratch, and Covers arena serve them all.
 const sweepChunk = 256
@@ -474,12 +461,13 @@ const sweepChunk = 256
 // the exact global dominance filter (Algorithm 2 step 9). With
 // cfg.SkipDominanceFilter it returns the concatenated per-position outputs
 // instead — each already free of candidates dominated at its own position.
-// A non-nil memo serves positions swept by an earlier call and receives
-// the fresh ones; with a nil memo nothing is retained past the call.
-// Returned candidates own their Covers.
+// A non-nil memo (one per charger type) serves, straight from its arena,
+// the positions it holds and stores the fresh ones; it marks both for its
+// next End. With a nil memo nothing is retained past the call. Returned
+// candidates own their Covers.
 //
 //hipo:hotpath
-func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo Memo) []Candidate {
+func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo) []Candidate {
 	sc = cfg.ensureVisibility(sc)
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -493,19 +481,17 @@ func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo
 	cache.tracer = tr
 	tr.Add(hipotrace.CtrPowerLevels, cache.powerLevels)
 
-	// With a memo, only the positions it cannot serve are swept, and ends
-	// records where each swept position's output stops within its chunk so
-	// fresh outputs can be stored per position.
+	// With a memo, only the positions it does not hold are swept: hit[i]
+	// is position i's entry (-1 = swept), and ends records where each swept
+	// position's output stops within its chunk so it can be stored.
 	fresh := positions
-	var hit [][]Candidate
-	var isHit []bool
+	var hit []int32
 	var ends []int32
 	if memo != nil {
 		fresh = nil
-		hit = make([][]Candidate, len(positions))
-		isHit = make([]bool, len(positions))
+		hit = make([]int32, len(positions))
 		for i, p := range positions {
-			if hit[i], isHit[i] = memo.Lookup(p); !isHit[i] {
+			if hit[i] = memo.lookup(p); hit[i] < 0 {
 				fresh = append(fresh, p)
 			}
 		}
@@ -552,19 +538,20 @@ func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo
 			feed(cs)
 		}
 	} else {
-		k := 0 // index of the next fresh position
+		k := 0               // index of the next fresh position
+		var held []Candidate // a held position's candidates, rebuilt from the arena
 		for i, p := range positions {
-			if isHit[i] {
-				feed(hit[i])
+			if e := hit[i]; e >= 0 {
+				held = memo.appendCandidates(held[:0], e, p, q)
+				feed(held)
 				continue
 			}
 			start := int32(0)
 			if k%sweepChunk > 0 {
 				start = ends[k-1]
 			}
-			own := append([]Candidate(nil), chunks[k/sweepChunk][start:ends[k]]...)
-			detachCovers(own)
-			memo.Store(p, own)
+			own := chunks[k/sweepChunk][start:ends[k]]
+			memo.store(p, own)
 			feed(own)
 			k++
 		}
