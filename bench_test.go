@@ -339,7 +339,7 @@ func BenchmarkPDCSSweepPoint(b *testing.B) {
 	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15), SkipDominanceFilter: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pdcs.ExtractAt(sc, i%3, pts, cfg, nil)
+		pdcs.ExtractAt(sc, i%3, pts, cfg, nil, nil)
 	}
 }
 

@@ -160,7 +160,7 @@ func GPPDCS(sc *model.Scenario, g Grid, eps1 float64) []model.Strategy {
 // GPPDCSCandidates runs Algorithm 1 at every grid point of charger type q
 // and returns the per-point candidates in point order.
 func GPPDCSCandidates(sc *model.Scenario, q int, pts []geom.Vec, eps1 float64) []pdcs.Candidate {
-	return pdcs.ExtractAt(sc, q, pts, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true}, nil)
+	return pdcs.ExtractAt(sc, q, pts, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true}, nil, nil)
 }
 
 // greedyOverGrid generates candidate strategies over the grid points of

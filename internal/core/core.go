@@ -48,9 +48,12 @@ type Options struct {
 	Eps float64
 	// Variant selects the greedy flavor. Default GreedyLazy.
 	Variant GreedyVariant
-	// Workers bounds the goroutines used for parallel candidate extraction
-	// (0 = GOMAXPROCS). Extraction per charger type and per candidate
-	// position is embarrassingly parallel.
+	// Workers bounds the goroutines of each parallel pool (0 =
+	// GOMAXPROCS): task generation, the usefulness filter and the position
+	// sweep. Solve runs the charger types one after another, each with
+	// these pools; an incremental session also runs its types on a pool of
+	// Workers, so it may run Workers² goroutines at once (see
+	// internal/incremental).
 	Workers int
 	// SkipDominanceFilter and SkipPairConstructions are ablation switches
 	// forwarded to PDCS extraction.
@@ -178,8 +181,10 @@ func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, err
 	}
 	defer snapshotMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is
-	// already parallel, which balances better than one goroutine per type
-	// (types have very different candidate counts).
+	// already parallel. Unlike a warm session, a cold solve keeps them
+	// sequential: perfbench's traced run replays pdcs.Extract one type at a
+	// time and reconciles the stage sum with Solve's wall time, which an
+	// overlapped type loop would break.
 	out := make([][]pdcs.Candidate, len(sc.ChargerTypes))
 	for q := range sc.ChargerTypes {
 		if err := opt.canceled(); err != nil {

@@ -40,16 +40,29 @@ func checkDedup(t *testing.T, pts []geom.Vec) []geom.Vec {
 }
 
 func TestDedupMatchesReference(t *testing.T) {
-	// straddle returns points on both sides of the cell edge at x = c·tol
-	// (and the same in y), one ulp to a few tolerances away.
-	straddle := func(c float64) []geom.Vec {
-		e := c * dedupTol
+	// straddle returns points on both sides of the line x = e (and the
+	// same in y), one ulp to a few tolerances away: at a cell edge, the
+	// near-duplicates sit in the neighbouring cell, and the offsets around
+	// ±dedupReach put the probed range's ends on either side of the edge.
+	straddle := func(e float64) []geom.Vec {
 		var out []geom.Vec
 		for _, d := range []float64{0, math.Nextafter(e, math.Inf(-1)) - e, math.Nextafter(e, math.Inf(1)) - e,
-			0.5 * dedupTol, -0.5 * dedupTol, dedupTol, -dedupTol, 1.5 * dedupTol, -2 * dedupTol} {
+			0.5 * dedupTol, -0.5 * dedupTol, dedupTol, -dedupTol, 1.5 * dedupTol, -2 * dedupTol,
+			dedupReach - 0.6*dedupTol, -(dedupReach - 0.6*dedupTol), 0.4 * dedupTol, -0.45 * dedupTol} {
 			out = append(out, geom.V(e+d, e), geom.V(e, e-d), geom.V(e+d, e+d))
 		}
 		return out
+	}
+	// across returns pairs 0.6·tol apart on either side of the line
+	// x = e, then y = e, then both, each pair offered in both orders, so a
+	// pair's second point finds its twin only in the neighbouring cell.
+	across := func(e float64) []geom.Vec {
+		lo, hi := e-0.3*dedupTol, e+0.3*dedupTol
+		return []geom.Vec{
+			geom.V(lo, 1), geom.V(hi, 1), geom.V(hi, 2), geom.V(lo, 2),
+			geom.V(3, lo), geom.V(3, hi), geom.V(4, hi), geom.V(4, lo),
+			geom.V(lo, lo), geom.V(hi, hi), geom.V(hi+1, lo+1), geom.V(lo+1, hi+1),
+		}
 	}
 	cases := map[string][]geom.Vec{
 		"empty":          nil,
@@ -59,15 +72,26 @@ func TestDedupMatchesReference(t *testing.T) {
 		"just-over-tol":  {geom.V(0, 0), geom.V(math.Nextafter(dedupTol, 1), 0), geom.V(-dedupTol, 0)},
 		"diagonal":       {geom.V(0, 0), geom.V(0.7*dedupTol, 0.7*dedupTol), geom.V(0.71*dedupTol, 0.71*dedupTol)},
 		"straddle-zero":  straddle(0),
-		"straddle-neg":   straddle(-12345),
-		"straddle-large": straddle(7e9),
-		"negative-zero":  {geom.V(math.Copysign(0, -1), 0), geom.V(0, math.Copysign(0, -1)), geom.V(-0.5*dedupTol, 0)},
+		"straddle-neg":   straddle(-12345 * dedupTol),
+		"straddle-large": straddle(7e9 * dedupTol),
+		// Edges of the deduper's dedupCell-sided cells.
+		"straddle-cell":       straddle(dedupCell),
+		"straddle-cell-neg":   straddle(-12345 * dedupCell),
+		"straddle-cell-large": straddle(4.375e8 * dedupCell),
+		"straddle-cell-odd":   straddle(3 * dedupCell),
+		"across-cell":         across(dedupCell),
+		"across-cell-neg":     across(-12345 * dedupCell),
+		"across-cell-large":   across(4.375e8 * dedupCell),
+		"negative-zero":       {geom.V(math.Copysign(0, -1), 0), geom.V(0, math.Copysign(0, -1)), geom.V(-0.5*dedupTol, 0)},
 	}
 	for name, pts := range cases {
 		t.Run(name, func(t *testing.T) { checkDedup(t, pts) })
 	}
 	if got := checkDedup(t, cases["exact-dup"]); len(got) != 2 {
 		t.Errorf("exact duplicates: kept %d points, want 2", len(got))
+	}
+	if got := checkDedup(t, cases["across-cell"]); len(got) != 6 {
+		t.Errorf("pairs across a cell edge: kept %d points, want 6", len(got))
 	}
 }
 

@@ -469,12 +469,16 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 const filterChunk = 1024
 
 // FilterUseful keeps, in place, the positions within charging range of at
-// least one device. It only distance-tests the devices whose grid cells
-// overlap each position's d_max disk; the grid superset is re-checked by
-// the exact range predicate, so output matches an exhaustive device scan
-// bit for bit. The predicate is pure per point, so contiguous chunks are
-// filtered on cfg.Workers goroutines and then compacted in order; the
-// result does not depend on the worker count.
+// least one device. Generated positions lie on device rings of radius
+// d_min … d_max only up to rounding: CircleSegmentIntersections clamps a
+// parameter up to 1e-9 past a segment end onto the end point, which can
+// sit beyond d_max + geom.Eps (TestFilterUsefulDropsClampedRingPoint), so
+// the test is not redundant. It only distance-tests the devices whose grid
+// cells overlap each position's d_max disk; the grid superset is
+// re-checked by the exact range predicate, so output matches an exhaustive
+// device scan bit for bit. The predicate is pure per point, so contiguous
+// chunks are filtered on cfg.Workers goroutines and then compacted in
+// order; the result does not depend on the worker count.
 func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 	if g.dgrid == nil {
 		return pts[:0] // no devices: nothing is in range
@@ -583,26 +587,46 @@ func (g *Generator) eventAngleSamples(j int) []geom.Vec {
 	return out
 }
 
-// dedupTol is the near-duplicate tolerance of Dedup and Positions, and the
-// side of the grid cells the deduper buckets kept points into.
+// dedupTol is the near-duplicate tolerance of Dedup and Positions.
 const dedupTol = 1e-6
 
+// The deduper buckets kept points into square cells of side dedupCell and
+// looks for a point's near-duplicates in the cells overlapping
+// [p ± dedupReach] on both axes. A kept point q with Dist(p, q) ≤ dedupTol
+// has |q.X − p.X| ≤ dedupTol·(1 + 2⁻⁵²) (Hypot is never below its larger
+// leg, and the subtraction errs by at most half an ulp), so
+// p.X − dedupReach < q.X < p.X + dedupReach; rounding and floor are
+// monotone, so q's cell lies in the probed range. As 2·dedupReach is well
+// under dedupCell, that range spans at most two cells per axis: at most 4
+// probes, about (1 + 3/16)² ≈ 1.4 on average.
+const (
+	dedupCell  = 16 * dedupTol
+	dedupReach = 1.5 * dedupTol
+)
+
 // deduper removes near-duplicate points: a point is dropped when an
-// earlier kept point lies within dedupTol of it. Kept points are bucketed
-// by their exact tol-sized grid cell (cx, cy) in a fixed-size
-// open-addressing table; each slot holds the cell's key and the head of an
-// intrusive chain of kept indices threaded through next. The table is
-// sized once from the number of points that will be offered, at load
-// factor ≤ ½, so it never grows and a probe always reaches an empty slot.
+// earlier kept point lies within dedupTol of it. slots is a fixed-size
+// open-addressing index over the occupied cells: slot s holds 1 + the
+// newest kept index of its cell (0 = empty, so a fresh table needs no init
+// loop), and each kept point carries its cell key and the link to the
+// previous kept point of its cell. The table is sized once from the number
+// of points that will be offered, at load factor ≤ ½, so it never grows
+// and a probe always reaches an empty slot. The kept set is the geometric
+// one — no earlier kept point within dedupTol — whatever the cell side or
+// probe order, so output matches the O(n²) definition bit for bit.
 type deduper struct {
 	points []geom.Vec
-	// next[k] is the kept index preceding k in k's cell chain (-1 ends).
-	next []int32
-	// keys[s] and heads[s] are slot s's cell and chain head (-1 = empty).
-	keys  [][2]int64
-	heads []int32
-	mask  uint64
-	shift uint // 64 − log₂(table size): Fibonacci hashing keeps the top bits
+	nodes  []dedupNode // nodes[k] belongs to points[k]
+	slots  []int32
+	mask   uint64
+	shift  uint // 64 − log₂(table size): Fibonacci hashing keeps the top bits
+}
+
+// dedupNode is a kept point's cell and 1 + the kept index preceding it in
+// that cell's chain (0 ends the chain).
+type dedupNode struct {
+	cx, cy int64
+	prev   int32
 }
 
 // newDeduper returns a deduper for at most n offered points.
@@ -612,30 +636,28 @@ func newDeduper(n int) *deduper {
 		size <<= 1
 		shift--
 	}
-	d := &deduper{
+	return &deduper{
 		points: make([]geom.Vec, 0, n),
-		next:   make([]int32, 0, n),
-		keys:   make([][2]int64, size),
-		heads:  make([]int32, size),
+		nodes:  make([]dedupNode, 0, n),
+		slots:  make([]int32, size),
 		mask:   uint64(size - 1),
 		shift:  shift,
 	}
-	for s := range d.heads {
-		d.heads[s] = -1
-	}
-	return d
 }
 
-// slot returns the table slot of cell key, and whether the cell is
-// present; when absent the slot is the empty one an insert would take.
-func (d *deduper) slot(key [2]int64) (uint64, bool) {
-	h := (uint64(key[0])*0x9E3779B97F4A7C15 ^ uint64(key[1])) * 0xC2B2AE3D27D4EB4F
+func dedupCellOf(v float64) int64 { return int64(math.Floor(v / dedupCell)) }
+
+// slot returns the table slot of cell (cx, cy): the slot naming the cell,
+// or the empty one an insert would take.
+func (d *deduper) slot(cx, cy int64) uint64 {
+	h := (uint64(cx)*0x9E3779B97F4A7C15 ^ uint64(cy)) * 0xC2B2AE3D27D4EB4F
 	for s := h >> d.shift; ; s = (s + 1) & d.mask {
-		if d.heads[s] < 0 {
-			return s, false
+		k := d.slots[s]
+		if k == 0 {
+			return s
 		}
-		if d.keys[s] == key {
-			return s, true
+		if nd := &d.nodes[k-1]; nd.cx == cx && nd.cy == cy {
+			return s
 		}
 	}
 }
@@ -647,20 +669,18 @@ func (d *deduper) add(pts []geom.Vec) {
 }
 
 func (d *deduper) addOne(p geom.Vec) {
-	cx := int64(math.Floor(p.X / dedupTol))
-	cy := int64(math.Floor(p.Y / dedupTol))
+	hx, hy := dedupCellOf(p.X), dedupCellOf(p.Y)
+	x1, y1 := dedupCellOf(p.X+dedupReach), dedupCellOf(p.Y+dedupReach)
+	y0 := dedupCellOf(p.Y - dedupReach)
 	var home uint64 // p's own cell's slot, found or to be claimed
-	for dx := int64(-1); dx <= 1; dx++ {
-		for dy := int64(-1); dy <= 1; dy++ {
-			s, ok := d.slot([2]int64{cx + dx, cy + dy})
-			if dx == 0 && dy == 0 {
+	for cx := dedupCellOf(p.X - dedupReach); cx <= x1; cx++ {
+		for cy := y0; cy <= y1; cy++ {
+			s := d.slot(cx, cy)
+			if cx == hx && cy == hy {
 				home = s
 			}
-			if !ok {
-				continue
-			}
-			for k := d.heads[s]; k >= 0; k = d.next[k] {
-				q := d.points[k]
+			for k := d.slots[s]; k > 0; k = d.nodes[k-1].prev {
+				q := d.points[k-1]
 				// Exact screen: Dist is at least either axis gap.
 				if math.Abs(q.X-p.X) > dedupTol || math.Abs(q.Y-p.Y) > dedupTol {
 					continue
@@ -671,10 +691,7 @@ func (d *deduper) addOne(p geom.Vec) {
 			}
 		}
 	}
-	if d.heads[home] < 0 {
-		d.keys[home] = [2]int64{cx, cy}
-	}
-	d.next = append(d.next, d.heads[home])
-	d.heads[home] = int32(len(d.points))
 	d.points = append(d.points, p)
+	d.nodes = append(d.nodes, dedupNode{cx: hx, cy: hy, prev: d.slots[home]})
+	d.slots[home] = int32(len(d.points))
 }

@@ -2,10 +2,12 @@ package discretize
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/visindex"
 )
 
 func twoDeviceScenario() *model.Scenario {
@@ -156,5 +158,59 @@ func TestDefaultEps1(t *testing.T) {
 	want := 0.3 / 0.7
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("DefaultEps1 = %v, want %v", got, want)
+	}
+}
+
+// TestFilterUsefulDropsClampedRingPoint pins a position only FilterUseful
+// rejects, so the filter cannot go. CircleSegmentIntersections clamps a
+// parameter up to 1e-9 past a segment end onto the end point, so the d_max
+// ring of the device at (20, 20) meets the obstacle edges ending at the
+// vertex (28+5e-9, 20) at that vertex: 8+5e-9 from the device, beyond the
+// d_max + geom.Eps range gate. The position is feasible (obstacle
+// boundaries are placeable), so generation keeps it and FilterUseful must
+// drop it, with and without the visibility index.
+func TestFilterUsefulDropsClampedRingPoint(t *testing.T) {
+	v := geom.V(28+5e-9, 20)
+	base := &model.Scenario{
+		Region:       model.Region{Min: geom.V(0, 0), Max: geom.V(40, 40)},
+		ChargerTypes: []model.ChargerType{{Name: "c", Alpha: math.Pi / 2, DMin: 2, DMax: 8, Count: 1}},
+		DeviceTypes:  []model.DeviceType{{Name: "d", Alpha: 2 * math.Pi, PTh: 0.05}},
+		Power:        [][]model.PowerParams{{{A: 100, B: 40}}},
+		Devices:      []model.Device{{Pos: geom.V(20, 20)}},
+		Obstacles: []model.Obstacle{{Shape: geom.Polygon{Vertices: []geom.Vec{
+			v, geom.V(36, 20), geom.V(36, 21)}}}},
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d := v.Dist(base.Devices[0].Pos); d <= base.ChargerTypes[0].DMax+geom.Eps {
+		t.Fatalf("vertex at %v from the device is within range", d)
+	}
+	has := func(pts []geom.Vec, p geom.Vec) bool {
+		return slices.ContainsFunc(pts, func(q geom.Vec) bool {
+			return math.Float64bits(q.X) == math.Float64bits(p.X) && math.Float64bits(q.Y) == math.Float64bits(p.Y)
+		})
+	}
+	for _, brute := range []bool{false, true} {
+		sc := base
+		if !brute {
+			sc = visindex.Ensure(base)
+		}
+		cfg := Config{Eps1: DefaultEps1(), BruteForceVisibility: brute}
+		g := NewGenerator(sc, 0, cfg)
+		pts := g.Positions(nil)
+		if !has(pts, v) {
+			t.Fatalf("brute=%v: generation no longer emits the clamped vertex %v", brute, v)
+		}
+		kept := g.FilterUseful(slices.Clone(pts))
+		if has(kept, v) {
+			t.Fatalf("brute=%v: FilterUseful kept %v, beyond d_max + Eps", brute, v)
+		}
+		if len(kept) != len(pts)-1 {
+			t.Fatalf("brute=%v: FilterUseful kept %d of %d positions, want all but the vertex", brute, len(kept), len(pts))
+		}
+		if has(CandidatePositions(sc, 0, cfg), v) {
+			t.Fatalf("brute=%v: CandidatePositions returned %v", brute, v)
+		}
 	}
 }

@@ -97,12 +97,11 @@ func (p Polygon) ContainsPoint(q Vec) bool {
 }
 
 // ContainsInterior reports whether q is strictly inside the polygon (points
-// on the boundary return false).
+// on the boundary return false). Both predicates are pure, so the cheap
+// crossing test runs first and the per-edge boundary test only for points
+// it places inside.
 func (p Polygon) ContainsInterior(q Vec) bool {
-	if p.OnBoundary(q) {
-		return false
-	}
-	return p.containsInterior(q)
+	return p.containsInterior(q) && !p.OnBoundary(q)
 }
 
 func (p Polygon) containsInterior(q Vec) bool {

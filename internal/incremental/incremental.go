@@ -30,6 +30,17 @@
 // × 200 devices) and the identity wall in internal/pdcs enforce exactly
 // that, not an approximate agreement.
 //
+// The paper discretizes and extracts each charger type on its own and
+// joins the types only in selection, so Solve runs the per-type pipelines
+// (positions → pdcs.ExtractAt → Memo.End) concurrently on a pool of
+// Options.Workers goroutines (0 = GOMAXPROCS); each pipeline keeps its own
+// inner pools of Workers goroutines for task generation, the usefulness
+// filter and the sweep, so a solve runs at most Workers² goroutines. The
+// pipelines share only the read-only scenario, its visibility index and
+// their own per-type caches, and the results are joined in type order, so
+// placements, Stats and store contents do not depend on Workers. A cold
+// core.Solve keeps its types sequential (see core.Options.Workers).
+//
 // Selection is warm-started: round-0 singleton gains are content-addressed
 // by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
 // only reused when it is provably bit-exact — device count and type tables
@@ -40,12 +51,14 @@ package incremental
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"hipo/internal/core"
 	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
+	"hipo/internal/schedule"
 	"hipo/internal/submodular"
 	"hipo/internal/visindex"
 )
@@ -364,8 +377,10 @@ func (s *Session) Solve() (*core.Solution, error) {
 		BruteForceVisibility:  dcfg.BruteForceVisibility,
 		Tracer:                dcfg.Tracer,
 	}
-	cands := make([][]pdcs.Candidate, len(s.types))
-	for q, ts := range s.types {
+	// Tasks are counted before the type pool, so Stats stay deterministic;
+	// the per-type pipelines then run concurrently (see the package
+	// comment).
+	for _, ts := range s.types {
 		for _, pts := range ts.taskPos {
 			if pts == nil {
 				s.stats.TasksRecomputed++
@@ -373,10 +388,18 @@ func (s *Session) Solve() (*core.Solution, error) {
 				s.stats.TasksReused++
 			}
 		}
-		positions := s.positions(q, dcfg)
-		cands[q] = pdcs.ExtractAt(s.sc, q, positions, pcfg, &ts.sweep)
-		ts.sweep.End()
 	}
+	workers := s.opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cands := schedule.RunPool(len(s.types), workers, func(q int) []pdcs.Candidate {
+		ts := s.types[q]
+		positions, held := s.positions(q, dcfg)
+		out := pdcs.ExtractAt(s.sc, q, positions, pcfg, &ts.sweep, held)
+		ts.sweep.End()
+		return out
+	})
 
 	sol, err := core.SelectWith(s.sc, cands, s.opt, s.greedyWarm)
 	if err != nil {
@@ -398,18 +421,19 @@ func (s *Session) discretizeConfig() discretize.Config {
 }
 
 // positions returns the candidate positions of charger type q —
-// discretize.CandidatePositions on the current scenario, bit for bit —
-// regenerating only the dirty tasks and filtering for usefulness only the
-// positions the sweep store does not hold: a held position is certified
-// useful (see pdcs.Memo).
-func (s *Session) positions(q int, dcfg discretize.Config) []geom.Vec {
+// discretize.CandidatePositions on the current scenario, bit for bit — and
+// each one's sweep-store entry (-1 = not held), for pdcs.ExtractAt. It
+// regenerates only the dirty tasks, probes the store once per position and
+// filters for usefulness only the positions the store does not hold: a
+// held position is certified useful (see pdcs.Memo).
+func (s *Session) positions(q int, dcfg discretize.Config) ([]geom.Vec, []int32) {
 	ts := s.types[q]
 	gen := discretize.NewGenerator(s.sc, q, dcfg)
 	pts := gen.Positions(ts.taskPos)
-	held := make([]bool, len(pts))
+	held := make([]int32, len(pts))
 	var unheld []geom.Vec
 	for i, p := range pts {
-		if held[i] = ts.sweep.Holds(p); !held[i] {
+		if held[i] = ts.sweep.Find(p); held[i] < 0 {
 			unheld = append(unheld, p)
 		}
 	}
@@ -417,16 +441,18 @@ func (s *Session) positions(q int, dcfg discretize.Config) []geom.Vec {
 	// no two positions with the same bits.
 	kept := gen.FilterUseful(unheld)
 	out, k := pts[:0], 0
+	outHeld := held[:0]
 	for i, p := range pts {
-		if !held[i] {
+		if held[i] < 0 {
 			if k == len(kept) || !sameBits(kept[k], p) {
 				continue
 			}
 			k++
 		}
 		out = append(out, p)
+		outHeld = append(outHeld, held[i])
 	}
-	return out
+	return out, outHeld
 }
 
 func sameBits(a, b geom.Vec) bool {

@@ -339,6 +339,41 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
+// traceStep draws one mutation from the scenario it will be applied to.
+type traceStep struct {
+	label string
+	mut   func(cur *model.Scenario) incremental.Mutation
+}
+
+// mixedTrace is a device move, a device add, the removal of the added
+// device and an obstacle insert, at positions drawn from rng.
+func mixedTrace(rng *rand.Rand) []traceStep {
+	feasible := func(cur *model.Scenario) geom.Vec {
+		for {
+			p := geom.V(cur.Region.Min.X+rng.Float64()*cur.Region.Width(),
+				cur.Region.Min.Y+rng.Float64()*cur.Region.Height())
+			if cur.FeasiblePosition(p) {
+				return p
+			}
+		}
+	}
+	return []traceStep{
+		{"move", func(cur *model.Scenario) incremental.Mutation {
+			return incremental.MoveDevice(0, feasible(cur), rng.Float64()*2*math.Pi)
+		}},
+		{"add-device", func(cur *model.Scenario) incremental.Mutation {
+			return incremental.AddDevice(model.Device{Pos: feasible(cur), Orient: rng.Float64() * 2 * math.Pi})
+		}},
+		{"remove-added-device", func(cur *model.Scenario) incremental.Mutation {
+			return incremental.RemoveDevice(len(cur.Devices) - 1)
+		}},
+		{"add-obstacle", func(cur *model.Scenario) incremental.Mutation {
+			p := feasible(cur)
+			return incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(p.X, p.Y, p.X+1, p.Y+1)})
+		}},
+	}
+}
+
 // TestHeldPositionsAreUseful pins the sweep store's usefulness certificate
 // (pdcs.Memo): after a device move, a device add, the removal of the added
 // device and an obstacle insert, the positions a warm solve hands
@@ -366,35 +401,7 @@ func TestHeldPositionsAreUseful(t *testing.T) {
 			if _, err := sess.Solve(); err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(7))
-			feasible := func(cur *model.Scenario) geom.Vec {
-				for {
-					p := geom.V(cur.Region.Min.X+rng.Float64()*cur.Region.Width(),
-						cur.Region.Min.Y+rng.Float64()*cur.Region.Height())
-					if cur.FeasiblePosition(p) {
-						return p
-					}
-				}
-			}
-			steps := []struct {
-				label string
-				mut   func(cur *model.Scenario) incremental.Mutation
-			}{
-				{"move", func(cur *model.Scenario) incremental.Mutation {
-					return incremental.MoveDevice(0, feasible(cur), rng.Float64()*2*math.Pi)
-				}},
-				{"add-device", func(cur *model.Scenario) incremental.Mutation {
-					return incremental.AddDevice(model.Device{Pos: feasible(cur), Orient: rng.Float64() * 2 * math.Pi})
-				}},
-				{"remove-added-device", func(cur *model.Scenario) incremental.Mutation {
-					return incremental.RemoveDevice(len(cur.Devices) - 1)
-				}},
-				{"add-obstacle", func(cur *model.Scenario) incremental.Mutation {
-					p := feasible(cur)
-					return incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(p.X, p.Y, p.X+1, p.Y+1)})
-				}},
-			}
-			for _, step := range steps {
+			for _, step := range mixedTrace(rand.New(rand.NewSource(7))) {
 				// An obstacle drawn over a device is rejected and leaves the
 				// session as it was; draw again.
 				for {

@@ -28,6 +28,9 @@ import (
 // could reach and renumbers covers when a device is removed (RemoveDevice)
 // reproduces a fresh extraction bit for bit.
 //
+// Probing. The caller probes each position once (Find) and hands the
+// entries to ExtractAt, which serves them without probing again.
+//
 // Liveness. ExtractAt marks every entry it serves or stores. End drops the
 // entries no call marked since the previous End and compacts the store in
 // place once dropped records exceed half the live ones, so after End the
@@ -110,8 +113,10 @@ func (m *Memo) slot(x, y uint64) (s uint64, e int32) {
 	}
 }
 
-// find returns p's live entry, or -1.
-func (m *Memo) find(p geom.Vec) int32 {
+// Find returns p's live entry, or -1: the probe a caller makes once per
+// position and hands ExtractAt. Entry indices stay valid until the next
+// End.
+func (m *Memo) Find(p geom.Vec) int32 {
 	if m.liveEnt == 0 {
 		return -1
 	}
@@ -123,9 +128,6 @@ func (m *Memo) find(p geom.Vec) int32 {
 	return e
 }
 
-// Holds reports whether the store holds p's sweep output.
-func (m *Memo) Holds(p geom.Vec) bool { return m.find(p) >= 0 }
-
 // Len returns the number of held positions.
 func (m *Memo) Len() int { return m.liveEnt }
 
@@ -133,14 +135,10 @@ func (m *Memo) Len() int { return m.liveEnt }
 // (hits) and stored into it over the store's lifetime.
 func (m *Memo) Counts() (hits, stores int) { return m.hits, m.stores }
 
-// lookup is ExtractAt's probe: p's live entry, marked, or -1.
-func (m *Memo) lookup(p geom.Vec) int32 {
-	e := m.find(p)
-	if e >= 0 {
-		m.hits++
-		m.mark(e)
-	}
-	return e
+// serve counts and marks entry e, which ExtractAt is about to serve.
+func (m *Memo) serve(e int32) {
+	m.hits++
+	m.mark(e)
 }
 
 func (m *Memo) mark(e int32) { m.marked[e/64] |= 1 << (uint(e) % 64) }

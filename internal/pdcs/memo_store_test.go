@@ -68,7 +68,7 @@ func keyVec(k [2]uint64) geom.Vec {
 }
 
 // TestMemoMatchesMapModel drives the store and the model through random
-// insert, lookup, DropIf, RemoveDevice and End cycles and compares their
+// insert, probe, DropIf, RemoveDevice and End cycles and compares their
 // contents after every operation. After every End the held records and
 // entries must stay within 2× the live ones.
 func TestMemoMatchesMapModel(t *testing.T) {
@@ -106,15 +106,16 @@ func TestMemoMatchesMapModel(t *testing.T) {
 		}
 		for op := 0; op < 3000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 45: // ExtractAt's probe, then a store on a miss
+			case r < 45: // a Find probe, then a serve on a hit or a store on a miss
 				p := pool[rng.Intn(len(pool))]
 				k := modelKey(p)
 				_, held := ref.held[k]
-				e := m.lookup(p)
+				e := m.Find(p)
 				if (e >= 0) != held {
-					t.Fatalf("seed %d op %d: lookup of %v hit=%v, model holds=%v", seed, op, p, e >= 0, held)
+					t.Fatalf("seed %d op %d: Find of %v hit=%v, model holds=%v", seed, op, p, e >= 0, held)
 				}
 				if held {
+					m.serve(e)
 					ref.marked[k] = true
 				} else {
 					cs := randCands(p)
@@ -199,7 +200,7 @@ func checkMemo(t *testing.T, m *Memo, ref memoModel, seed int64, op int) {
 	}
 	for k, want := range ref.held {
 		p := keyVec(k)
-		e := m.find(p)
+		e := m.Find(p)
 		if e < 0 {
 			t.Fatalf("seed %d op %d: %v missing from the store", seed, op, p)
 		}

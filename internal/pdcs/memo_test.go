@@ -32,10 +32,10 @@ func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, b
 		for i := b; i < len(positions); i += batches {
 			sub = append(sub, positions[i])
 		}
-		pdcs.ExtractAt(sc, q, sub, cfg, memo)
+		pdcs.ExtractAt(sc, q, sub, cfg, memo, find(memo, sub))
 	}
 	_, cached := memo.Counts()
-	out := pdcs.ExtractAt(sc, q, positions, cfg, memo)
+	out := pdcs.ExtractAt(sc, q, positions, cfg, memo, find(memo, positions))
 	if hits, stores := memo.Counts(); hits != cached || stores != len(positions) {
 		t.Fatalf("memo served %d of %d cached positions and stored %d of %d", hits, cached, stores, len(positions))
 	}
@@ -44,6 +44,15 @@ func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, b
 		t.Fatalf("memo holds %d positions after End, want %d", memo.Len(), len(positions))
 	}
 	return out
+}
+
+// find probes the memo once per position, as ExtractAt expects.
+func find(memo *pdcs.Memo, positions []geom.Vec) []int32 {
+	held := make([]int32, len(positions))
+	for i, p := range positions {
+		held[i] = memo.Find(p)
+	}
+	return held
 }
 
 // TestSweeperMatchesExtract pins the memo contract against Extract across

@@ -448,7 +448,7 @@ func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
 		Tracer:                cfg.Tracer,
 	})
 	endDisc()
-	return ExtractAt(sc, q, positions, cfg, nil)
+	return ExtractAt(sc, q, positions, cfg, nil, nil)
 }
 
 // sweepChunk is the number of positions one sweep task covers: one output
@@ -463,11 +463,13 @@ const sweepChunk = 256
 // instead — each already free of candidates dominated at its own position.
 // A non-nil memo (one per charger type) serves, straight from its arena,
 // the positions it holds and stores the fresh ones; it marks both for its
-// next End. With a nil memo nothing is retained past the call. Returned
-// candidates own their Covers.
+// next End. held[i] is positions[i]'s entry as memo.Find returned it since
+// the last End (-1 = not held), so no position is probed twice; held must
+// be as long as positions with a memo and nil without one. With a nil memo
+// nothing is retained past the call. Returned candidates own their Covers.
 //
 //hipo:hotpath
-func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo) []Candidate {
+func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo, held []int32) []Candidate {
 	sc = cfg.ensureVisibility(sc)
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -481,17 +483,15 @@ func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo
 	cache.tracer = tr
 	tr.Add(hipotrace.CtrPowerLevels, cache.powerLevels)
 
-	// With a memo, only the positions it does not hold are swept: hit[i]
-	// is position i's entry (-1 = swept), and ends records where each swept
-	// position's output stops within its chunk so it can be stored.
+	// With a memo, only the positions it does not hold are swept, and ends
+	// records where each swept position's output stops within its chunk so
+	// it can be stored.
 	fresh := positions
-	var hit []int32
 	var ends []int32
 	if memo != nil {
 		fresh = nil
-		hit = make([]int32, len(positions))
 		for i, p := range positions {
-			if hit[i] = memo.lookup(p); hit[i] < 0 {
+			if held[i] < 0 {
 				fresh = append(fresh, p)
 			}
 		}
@@ -539,11 +539,12 @@ func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo
 		}
 	} else {
 		k := 0               // index of the next fresh position
-		var held []Candidate // a held position's candidates, rebuilt from the arena
+		var lent []Candidate // a held position's candidates, rebuilt from the arena
 		for i, p := range positions {
-			if e := hit[i]; e >= 0 {
-				held = memo.appendCandidates(held[:0], e, p, q)
-				feed(held)
+			if e := held[i]; e >= 0 {
+				memo.serve(e)
+				lent = memo.appendCandidates(lent[:0], e, p, q)
+				feed(lent)
 				continue
 			}
 			start := int32(0)
@@ -576,7 +577,8 @@ type Config struct {
 	// Eps1 is the approximation parameter ε₁ (Lemma 4.1).
 	Eps1 float64
 	// Workers bounds the goroutines sweeping candidate positions
-	// (0 = GOMAXPROCS).
+	// (0 = GOMAXPROCS) within one call; an incremental session runs its
+	// charger types' calls concurrently, each with this bound.
 	Workers int
 	// SkipDominanceFilter keeps dominated candidates (ablation).
 	SkipDominanceFilter bool

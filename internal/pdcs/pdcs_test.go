@@ -42,7 +42,7 @@ func eligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible 
 
 // sweepPoint runs Algorithm 1 at a single point through the sweep driver.
 func sweepPoint(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []Candidate {
-	return ExtractAt(sc, q, []geom.Vec{p}, Config{Eps1: eps1, SkipDominanceFilter: true}, nil)
+	return ExtractAt(sc, q, []geom.Vec{p}, Config{Eps1: eps1, SkipDominanceFilter: true}, nil, nil)
 }
 
 func TestEligibleAt(t *testing.T) {

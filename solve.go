@@ -51,8 +51,11 @@ func WithPerTypeGreedy() Option {
 	return func(o *options) { o.variant = core.GreedyPerType }
 }
 
-// WithWorkers bounds the goroutines used during candidate extraction and
-// selection (0, the default, uses GOMAXPROCS).
+// WithWorkers bounds the goroutines of each parallel pool used during
+// candidate extraction and selection (0, the default, uses GOMAXPROCS).
+// Solve extracts the charger types one after another; an Incremental
+// session runs them concurrently on n goroutines, each with its own pools
+// of n.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithContext attaches a context so long solves can be canceled between
