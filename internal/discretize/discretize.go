@@ -503,22 +503,34 @@ func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
 }
 
 // keepUseful moves the useful positions of pts to its front, in order, and
-// returns their count.
+// returns their count. Positions arrive grouped by the task that generated
+// them, so the device that made the previous position useful is tested
+// first, with the same exact range predicate; the grid is scanned only
+// when it misses. Usefulness is existential, so the witness changes which
+// device proves it, never the verdict.
 func (g *Generator) keepUseful(pts []geom.Vec) int {
 	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
+	inRange := func(p geom.Vec, j int) bool {
+		d := p.Dist(sc.Devices[j].Pos)
+		return d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps
+	}
 	mask := make([]uint64, g.dgrid.Words())
 	n := 0
+	witness := -1
 	for _, p := range pts {
-		for w := range mask {
-			mask[w] = 0
-		}
-		g.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
-		useful := false
-		for w := 0; w < len(mask) && !useful; w++ {
-			for m := mask[w]; m != 0 && !useful; m &= m - 1 {
-				j := w*64 + bits.TrailingZeros64(m)
-				d := p.Dist(sc.Devices[j].Pos)
-				useful = d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps
+		useful := witness >= 0 && inRange(p, witness)
+		if !useful {
+			for w := range mask {
+				mask[w] = 0
+			}
+			g.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
+			for w := 0; w < len(mask) && !useful; w++ {
+				for m := mask[w]; m != 0 && !useful; m &= m - 1 {
+					j := w*64 + bits.TrailingZeros64(m)
+					if useful = inRange(p, j); useful {
+						witness = j
+					}
+				}
 			}
 		}
 		if useful {

@@ -114,6 +114,44 @@ func TestFilterUsefulMatchesExhaustiveScan(t *testing.T) {
 			t.Fatalf("grid filter kept %d of %d positions, exhaustive scan %d", len(got), len(pts), len(want))
 		}
 	})
+
+	// Generated positions, in generation order (grouped by task, so the
+	// previous position's witness device usually decides) and shuffled,
+	// padded with random points past a few filter chunks. The scenario is
+	// TestFilterUsefulDropsClampedRingPoint's with four more devices, so the
+	// positions include the clamped ring point (28+5e-9, 20).
+	v := geom.V(28+5e-9, 20)
+	sc := &model.Scenario{
+		Region:       model.Region{Min: geom.V(0, 0), Max: geom.V(40, 40)},
+		ChargerTypes: []model.ChargerType{{Name: "c", Alpha: math.Pi / 2, DMin: 2, DMax: 8, Count: 1}},
+		DeviceTypes:  []model.DeviceType{{Name: "d", Alpha: 2 * math.Pi, PTh: 0.05}},
+		Power:        [][]model.PowerParams{{{A: 100, B: 40}}},
+		Devices: []model.Device{{Pos: geom.V(20, 20)}, {Pos: geom.V(4, 4)}, {Pos: geom.V(36, 36)},
+			{Pos: geom.V(5, 34)}, {Pos: geom.V(12, 30)}},
+		Obstacles: []model.Obstacle{{Shape: geom.Polygon{Vertices: []geom.Vec{v, geom.V(36, 20), geom.V(36, 21)}}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, workers := range []int{1, 2} {
+		g := discretize.NewGenerator(visindex.Ensure(sc), 0, discretize.Config{Eps1: discretize.DefaultEps1(), Workers: workers})
+		pts := g.Positions(nil)
+		if !sameBits(filterUsefulScan(sc, 0, []geom.Vec{v}), nil) || !slices.ContainsFunc(pts, func(p geom.Vec) bool { return sameBits([]geom.Vec{p}, []geom.Vec{v}) }) {
+			t.Fatalf("generation no longer emits the clamped ring point %v, or it is in range", v)
+		}
+		for len(pts) < 5000 {
+			pts = append(pts, geom.V(rng.Float64()*40, rng.Float64()*40))
+		}
+		for _, order := range []string{"generated", "shuffled"} {
+			if order == "shuffled" {
+				rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+			}
+			want := filterUsefulScan(sc, 0, pts)
+			got := g.FilterUseful(slices.Clone(pts))
+			if !sameBits(got, want) || len(want) == 0 || len(want) == len(pts) {
+				t.Fatalf("workers %d, %s order: FilterUseful kept %d of %d positions, exhaustive scan %d",
+					workers, order, len(got), len(pts), len(want))
+			}
+		}
+	}
 }
 
 func TestObstaclePruningMatchesExhaustiveScan(t *testing.T) {

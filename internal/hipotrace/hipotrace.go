@@ -91,10 +91,12 @@ const (
 	// pair's padded reachability disks provably cannot interact, so the
 	// exact pairwise geometry is never touched.
 	CtrPairsPruned
-	// CtrLOSBatched counts line-of-sight queries answered through a batched
-	// per-viewpoint visindex.Viewpoint instead of an independent DDA walk
-	// per ray. Always ≤ CtrLOSQueries.
-	CtrLOSBatched
+	// CtrLOSCertified counts PDCS line-of-sight queries a device's
+	// visindex.Certificate decided without the exact predicate.
+	CtrLOSCertified
+	// CtrLOSExact counts PDCS line-of-sight queries the exact predicate
+	// decided: CtrLOSCertified + CtrLOSExact = CtrLOSQueries.
+	CtrLOSExact
 	// CtrPoolReuse counts buffer reuses out of the extraction sync.Pools:
 	// the Covers arenas of PDCS sweep chunks and discretization's position
 	// and scratch buffers. Each reuse is one hot-loop allocation avoided.
@@ -129,7 +131,8 @@ var counterNames = [NumCounters]string{
 	CtrVisMemoHits:        "vis_memo_hits",
 	CtrVisMemoMisses:      "vis_memo_misses",
 	CtrPairsPruned:        "pairs_pruned",
-	CtrLOSBatched:         "los_batched",
+	CtrLOSCertified:       "los_certified",
+	CtrLOSExact:           "los_exact",
 	CtrPoolReuse:          "pool_reuse",
 	CtrLazyWarmHits:       "lazy_warm_hits",
 	CtrPositionsRaw:       "positions_raw",

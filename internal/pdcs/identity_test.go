@@ -172,10 +172,13 @@ func TestExtractAllBenchTiers(t *testing.T) {
 				}
 			}
 			ctr := tr.Breakdown().Counters
-			for _, name := range []string{"los_queries", "candidates_kept", "los_batched", "pool_reuse"} {
+			for _, name := range []string{"los_queries", "candidates_kept", "los_certified", "pool_reuse"} {
 				if ctr[name] <= 0 {
 					t.Fatalf("traced ExtractAll counter %s is %d", name, ctr[name])
 				}
+			}
+			if ctr["los_certified"]+ctr["los_exact"] != ctr["los_queries"] {
+				t.Fatalf("los_certified %d + los_exact %d != los_queries %d", ctr["los_certified"], ctr["los_exact"], ctr["los_queries"])
 			}
 		})
 	}

@@ -62,9 +62,10 @@ const prunePad = 1e-6
 
 // eligibleCache precomputes, per device type, the piecewise power levels
 // for one charger type so that eligibility checks at thousands of candidate
-// positions avoid re-deriving them. It also carries the device grid that
-// prunes each position's device scan and the viewpoint tiling that batches
-// its line-of-sight rays. Safe for concurrent use.
+// positions avoid re-deriving them. It also carries the device grid and
+// the viewpoint tiling that prune each position's device scan, and the
+// devices' visibility certificates that answer most of its line-of-sight
+// queries. Safe for concurrent use.
 type eligibleCache struct {
 	sc     *model.Scenario
 	q      int
@@ -85,10 +86,11 @@ type eligibleCache struct {
 	// dgrid narrows each position's device scan to the cells overlapping
 	// its d_max disk (nil without devices).
 	dgrid *visindex.DeviceGrid
-	// vpg answers LOS rays through memoized per-tile viewpoint batches: one
-	// obstacle collection per tile of positions instead of one DDA walk per
-	// ray (nil under brute-force visibility or without obstacles).
+	// vpg tiles the positions around the devices, each tile memoizing its
+	// device prefilter; certs[j] is device j's visibility certificate
+	// (both nil under brute-force visibility or without obstacles).
 	vpg    *visindex.ViewpointGrid
+	certs  []*visindex.DeviceCertificate
 	arPool sync.Pool // *covArena
 }
 
@@ -118,6 +120,7 @@ func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
 	if len(sc.Obstacles) > 0 {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 			c.vpg = ix.NewViewpointGrid(ct.DMax+prunePad, pts)
+			c.certs = ix.Certificates(pts)
 		}
 	}
 	return c
@@ -200,26 +203,27 @@ func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
 // appending them to buf[:0]: callers pass the previous position's slice
 // back in once its contents have been copied into candidate Covers.
 func (c *eligibleCache) at(p geom.Vec, buf []eligible) []eligible {
-	los, batched := 0, 0
+	certified, exact := 0, 0
 	ct := c.ct
 	dmin2, dmax2 := c.rangeGates()
-	var vp *visindex.Viewpoint
-	if c.vpg != nil {
-		vp = c.vpg.At(p)
-	}
 	out := buf[:0]
 	switch {
-	case vp != nil:
+	case c.vpg != nil:
 		// Tile-pruned scan: the per-tile device prefilter is computed once
 		// per viewpoint tile and shared by every position swept inside it,
-		// in ascending index order like the full scan.
+		// in ascending index order like the full scan. Outside the tiling
+		// no device is within d_max + prunePad, so none is in range.
+		vp := c.vpg.At(p)
+		if vp == nil {
+			return out
+		}
 		aux, ok := vp.AuxDevices()
 		if !ok {
 			center, slack := vp.Envelope()
 			aux = vp.SetAuxDevices(c.tileDevices(center, slack))
 		}
 		for _, j := range aux {
-			out, los, batched = c.tryDevice(out, int(j), p, dmin2, dmax2, vp, los, batched)
+			out, certified, exact = c.tryDevice(out, int(j), p, dmin2, dmax2, certified, exact)
 		}
 	case c.dgrid != nil:
 		// Grid-pruned scan: only devices whose cell overlaps the d_max disk
@@ -235,26 +239,29 @@ func (c *eligibleCache) at(p geom.Vec, buf []eligible) []eligible {
 		for w, m := range mask {
 			for ; m != 0; m &= m - 1 {
 				j := w*64 + bits.TrailingZeros64(m)
-				out, los, batched = c.tryDevice(out, j, p, dmin2, dmax2, vp, los, batched)
+				out, certified, exact = c.tryDevice(out, j, p, dmin2, dmax2, certified, exact)
 			}
 		}
 	}
-	c.tracer.Add(hipotrace.CtrLOSQueries, int64(los))
-	c.tracer.Add(hipotrace.CtrLOSBatched, int64(batched))
+	c.tracer.Add(hipotrace.CtrLOSQueries, int64(certified+exact))
+	c.tracer.Add(hipotrace.CtrLOSCertified, int64(certified))
+	c.tracer.Add(hipotrace.CtrLOSExact, int64(exact))
 	return out
 }
 
 // tryDevice applies the exact eligibility predicates to device j and
 // appends it to out when chargeable from p. It is the single predicate
 // body behind both the tile- and grid-pruned scans, so the two paths can
-// only differ in which provably-out-of-range devices they skip.
-func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax2 float64, vp *visindex.Viewpoint, los, batched int) ([]eligible, int, int) {
+// only differ in which provably-out-of-range devices they skip. Line of
+// sight comes from device j's certificate where it decides the query
+// (counted in certified) and from the exact predicate otherwise (exact).
+func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax2 float64, certified, exact int) ([]eligible, int, int) {
 	sc := c.sc
 	dev := &sc.Devices[j]
 	delta := dev.Pos.Sub(p)
 	d2 := delta.Len2()
 	if d2 < dmin2 || d2 > dmax2 {
-		return out, los, batched
+		return out, certified, exact
 	}
 	d := math.Sqrt(d2)
 	// Charger within the device's receiving sector (dot-product form;
@@ -262,27 +269,33 @@ func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax
 	dt := &sc.DeviceTypes[dev.Type]
 	if dt.Alpha < 2*math.Pi-geom.Eps {
 		if d <= geom.Eps {
-			return out, los, batched
+			return out, certified, exact
 		}
 		back := delta.Neg() // device → charger
 		if back.Dot(c.dirs[j]) < d*c.cosHalf[dev.Type]-geom.Eps*math.Max(1, d) {
-			return out, los, batched
+			return out, certified, exact
 		}
 	}
-	los++
-	if vp != nil {
-		batched++
-		if !vp.LineOfSightTo(j, p) {
-			return out, los, batched
+	var cert *visindex.Certificate
+	if c.certs != nil {
+		cert = c.certs[j].Get()
+	}
+	switch cert.Classify(p, d) {
+	case visindex.Blocked:
+		return out, certified + 1, exact
+	case visindex.Visible:
+		certified++
+	default:
+		exact++
+		if !sc.LineOfSight(p, dev.Pos) {
+			return out, certified, exact
 		}
-	} else if !sc.LineOfSight(p, dev.Pos) {
-		return out, los, batched
 	}
 	pw := c.levels[dev.Type].Approx(d)
 	if pw <= 0 {
-		return out, los, batched
+		return out, certified, exact
 	}
-	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), los, batched
+	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), certified, exact
 }
 
 // sweepScratch carries the per-chunk reusable state of the sweep: the

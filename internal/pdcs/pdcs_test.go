@@ -99,7 +99,7 @@ func TestEligibleObstacle(t *testing.T) {
 // TestEligibleAtAllocationFree pins the per-position eligibility scan to
 // zero heap allocations once the chunk's buffer is reused, on both the
 // device-grid path (no obstacles) and the viewpoint-tile path (obstacles,
-// batched line of sight, warm tile memos).
+// certified line of sight, warm tile memos).
 func TestEligibleAtAllocationFree(t *testing.T) {
 	walled := ringScenario()
 	walled.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}, {Shape: geom.Rect(17, 19, 18, 21)}}
@@ -118,8 +118,8 @@ func TestEligibleAtAllocationFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%d obstacles: eligibleCache.at allocates %v times per run", len(sc.Obstacles), n)
 		}
-		if len(sc.Obstacles) > 0 && c.vpg == nil {
-			t.Fatal("obstacle scenario did not take the viewpoint-tile path")
+		if len(sc.Obstacles) > 0 && (c.vpg == nil || c.certs == nil) {
+			t.Fatal("obstacle scenario did not take the viewpoint-tile path with certificates")
 		}
 	}
 }

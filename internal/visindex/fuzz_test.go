@@ -65,25 +65,24 @@ func goldenObstacles(t testing.TB) ([]*model.Scenario, [][]geom.Vec) {
 	return scs, devs
 }
 
-// FuzzBatchedLOS differentially fuzzes the batched per-viewpoint
-// line-of-sight walk against the per-ray DDA walk and the brute-force
-// obstacle scan: for any obstacle field, ray, and batching envelope, all
-// three predicates must agree exactly. Obstacle fields come from the golden
-// fixtures plus a denser randomized field; rays and envelope radii come
-// from the fuzzer.
+// FuzzBatchedLOS differentially fuzzes the per-device visibility
+// certificate, the batched form of line of sight the PDCS sweep uses,
+// and the per-ray DDA walk against the brute-force obstacle scan: for any
+// obstacle field, device b, query position a and reach, the walk must
+// agree with brute force exactly, and a certificate verdict other than
+// Uncertain must be brute force's answer. Obstacle fields come from the
+// golden fixtures plus a denser randomized field; the seeds add the probe
+// families of internal/geom's blocks_ref_test.go around each field's first
+// obstacle: vertex grazes, collinear edge overlaps, queries ending on the
+// boundary, and a device on an obstacle edge.
 func FuzzBatchedLOS(f *testing.F) {
 	scs, devs := goldenObstacles(f)
-	// A denser randomized field on top of the fixtures: more capsule
-	// survivors, more multi-obstacle tiles.
 	scs = append(scs, randomScenario(42, 24))
 	devs = append(devs, nil)
 
-	type arm struct {
-		ix *Index
-	}
-	arms := make([]arm, len(scs))
+	ixs := make([]*Index, len(scs))
 	for i, sc := range scs {
-		arms[i] = arm{ix: New(sc)}
+		ixs[i] = New(sc)
 	}
 
 	for i, pts := range devs {
@@ -94,34 +93,51 @@ func FuzzBatchedLOS(f *testing.F) {
 	}
 	f.Add(uint8(len(scs)-1), 1.0, 1.0, 39.0, 39.0, 60.0)
 	f.Add(uint8(0), 18.0, 16.0, 22.0, 20.0, 6.0) // corner-to-corner across a fixture box
+	for i, sc := range scs {
+		if len(sc.Obstacles) == 0 {
+			continue
+		}
+		vs := sc.Obstacles[0].Shape.Vertices
+		g := sc.Obstacles[0].Shape.Centroid()
+		for k, v := range vs {
+			w := vs[(k+1)%len(vs)]
+			dev := v.Add(v.Sub(g).Scale(2)) // outside, beyond the vertex
+			for _, q := range [][2]geom.Vec{
+				{v.Add(v.Sub(dev).Scale(0.5)), dev},              // grazes v
+				{v, dev},                                         // ends on the vertex
+				{geom.Lerp(v, w, 0.5), dev},                      // ends on an edge
+				{geom.Lerp(v, w, 1.5), geom.Lerp(v, w, -0.5)},    // runs along the edge
+				{geom.Lerp(v, w, 1.5), geom.Lerp(v, w, 1.25)},    // collinear, past the edge
+				{g.Add(g.Sub(dev)), dev},                         // through the interior
+				{dev.Add(geom.V(1e-7, 0)), geom.Lerp(v, w, 0.5)}, // device on the edge
+			} {
+				f.Add(uint8(i), q[0].X, q[0].Y, q[1].X, q[1].Y, 12.0)
+			}
+		}
+	}
 
-	f.Fuzz(func(t *testing.T, sel uint8, ax, ay, bx, by, rmax float64) {
-		for _, v := range []float64{ax, ay, bx, by, rmax} {
+	f.Fuzz(func(t *testing.T, sel uint8, ax, ay, bx, by, reach float64) {
+		for _, v := range []float64{ax, ay, bx, by, reach} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e4 {
 				t.Skip("out of the supported coordinate range")
 			}
 		}
 		i := int(sel) % len(scs)
-		sc, ix := scs[i], arms[i].ix
+		sc, ix := scs[i], ixs[i]
 		a, b := geom.V(ax, ay), geom.V(bx, by)
-		if rmax <= 0 {
-			rmax = 1
+		if reach <= 0 {
+			reach = 1
 		}
 
 		want := sc.BruteForceLineOfSight(a, b)
 		if got := ix.LineOfSight(a, b); got != want {
 			t.Fatalf("indexed walk disagrees with brute force: got %v want %v (a=%v b=%v)", got, want, a, b)
 		}
-		// Production shape: the viewpoint tiling of a's tile, target b.
-		vp := ix.NewViewpointGrid(rmax, []geom.Vec{b}).At(a)
-		if got := vp.LineOfSightTo(0, a); got != want {
-			t.Fatalf("batched tile walk disagrees with brute force: got %v want %v (a=%v b=%v rmax=%v)", got, want, a, b, rmax)
-		}
-		// Off-center envelope: a lies inside the slack disk but not at the
-		// center, exercising the capsule inflation.
-		vp2 := ix.NewViewpoint(geom.V(ax+0.25, ay-0.25), 0.4, rmax, []geom.Vec{b})
-		if got := vp2.LineOfSightTo(0, a); got != want {
-			t.Fatalf("off-center viewpoint disagrees with brute force: got %v want %v (a=%v b=%v rmax=%v)", got, want, a, b, rmax)
+		// Production shape: device b's certificate decides the ray from a.
+		ct := newCertificate(ix, b, reach)
+		switch v := ct.Classify(a, math.Sqrt(a.Sub(b).Len2())); {
+		case v == Visible && !want, v == Blocked && want:
+			t.Fatalf("certificate says %v, brute force line of sight %v (a=%v b=%v reach=%v)", v, want, a, b, reach)
 		}
 	})
 }

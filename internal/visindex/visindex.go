@@ -3,8 +3,10 @@
 // line-of-sight query, and hole/shadow extraction re-derives per-viewpoint
 // angular structure). It provides a uniform grid over the scenario's
 // obstacle geometry with a DDA ray walk for LineOfSight, a cell lookup for
-// point-in-obstacle tests, and per-viewpoint memos for the Shadow /
-// EventAngles / HoleRays views (internal/visibility).
+// point-in-obstacle tests, per-viewpoint memos for the Shadow /
+// EventAngles / HoleRays views (internal/visibility), and per-device
+// visibility certificates (Certificate) that decide most PDCS
+// line-of-sight queries without the exact predicate.
 //
 // Correctness contract: the index is a pure accelerator. Grid traversal
 // only narrows the set of obstacles that could interact with a query; the
@@ -16,15 +18,21 @@
 // interacting obstacle can be missed by the walk. Differential tests here,
 // TestLineOfSightMatchesBruteForceOnBenchScenarios on the benchmark
 // scenarios, and internal/oracle's TestIndexedVsBruteForcePlacement on
-// whole solves enforce the contract.
+// whole solves enforce the contract. A certificate answers only where it
+// can prove the exact predicate's answer, and leaves every other query to
+// it (see Certificate; FuzzBatchedLOS and
+// TestCertificatesMatchBruteForceOnBenchScenarios check it against brute
+// force).
 //
 // An Index is immutable after New and safe for concurrent readers; the
-// memos use sync.Map. Build one per model.Scenario (Ensure does this and
-// attaches it) and never mutate the scenario's obstacles afterwards.
+// memos use sync.Map and a mutex. Build one per model.Scenario (Ensure
+// does this and attaches it) and never mutate the scenario's obstacles
+// afterwards.
 package visindex
 
 import (
 	"math"
+	"sync"
 
 	"hipo/internal/geom"
 	"hipo/internal/model"
@@ -55,9 +63,9 @@ type Index struct {
 	// set used if the ray walk ever exits abnormally.
 	all []int32
 	// boxLo/boxHi are the per-obstacle gridPad-padded bounding boxes, the
-	// same boxes cell registration uses. Viewpoint batching and the
-	// ObstaclesNearDisk prefilter test against them, so those paths inherit
-	// the grid's conservative-padding contract.
+	// same boxes cell registration uses. The ObstaclesNearDisk prefilter
+	// tests against them, so it inherits the grid's conservative-padding
+	// contract.
 	boxLo, boxHi []geom.Vec
 	// lens and bbLo/bbHi cache each obstacle's Polygon.EdgeLens() and exact
 	// (unpadded) BoundingBox() for Polygon.BlocksSegmentCached, so the
@@ -67,6 +75,13 @@ type Index struct {
 	bbLo, bbHi []geom.Vec
 
 	memo memoStore
+
+	// certReach is the reach of every certificate Certificates builds: the
+	// scenario's largest charger d_max plus certReachPad. certs holds the
+	// certificates of the last Certificates call, keyed like memo.
+	certReach float64
+	certMu    sync.Mutex
+	certs     map[posKey]*DeviceCertificate // guarded by certMu
 
 	// obsHash fingerprints the obstacle set the index was built from (see
 	// ObstacleHash). Ensure compares it against the scenario's current
@@ -114,6 +129,10 @@ func (ix *Index) MatchesObstacles(obs []model.Obstacle) bool {
 // them afterwards.
 func New(sc *model.Scenario) *Index {
 	ix := &Index{obs: sc.Obstacles, obsHash: ObstacleHash(sc.Obstacles)}
+	for _, ct := range sc.ChargerTypes {
+		ix.certReach = math.Max(ix.certReach, ct.DMax)
+	}
+	ix.certReach += certReachPad
 	n := len(sc.Obstacles)
 	if n == 0 {
 		return ix

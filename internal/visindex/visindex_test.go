@@ -292,9 +292,8 @@ func TestClipToBox(t *testing.T) {
 
 // TestLineOfSightAllocationFree pins the DDA walk (Index.LineOfSight, at
 // most 256 obstacles so the visited mask stays on the stack) and the
-// batched walk (Viewpoint.LineOfSightTo, once its per-target memos are
-// warm) to zero heap allocations, on rays many of which reach the exact
-// blocking predicate.
+// certificate (Certificate.Classify) to zero heap allocations, on rays
+// many of which reach the exact blocking predicate or a certified verdict.
 func TestLineOfSightAllocationFree(t *testing.T) {
 	sc := randomScenario(99, 50)
 	ix := New(sc)
@@ -317,27 +316,18 @@ func TestLineOfSightAllocationFree(t *testing.T) {
 		t.Errorf("Index.LineOfSight allocates %v times per run", n)
 	}
 
-	targets := make([]geom.Vec, 32)
-	for i := range targets {
-		targets[i] = qs[i].B
-	}
-	// rmax spans the whole field, so every ray stays on the batched path.
-	grid := ix.NewViewpointGrid(64, targets)
-	vps := make([]*Viewpoint, 64)
-	for i := range vps {
-		vps[i] = grid.At(qs[i].A)
-		for tg := range targets {
-			vps[i].LineOfSightTo(tg, qs[i].A) // warm the per-target memos
-		}
+	certs := make([]*Certificate, 32)
+	for i := range certs {
+		certs[i] = newCertificate(ix, qs[i].B, 64)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		for i, vp := range vps {
-			for tg := range targets {
-				sink = sink != vp.LineOfSightTo(tg, qs[i].A)
+		for i := range certs {
+			for _, q := range qs {
+				sink = sink != (certs[i].Classify(q.A, math.Sqrt(q.A.Sub(qs[i].B).Len2())) == Visible)
 			}
 		}
 	}); n != 0 {
-		t.Errorf("Viewpoint.LineOfSightTo allocates %v times per run on warm memos", n)
+		t.Errorf("Certificate.Classify allocates %v times per run", n)
 	}
 	_ = sink
 }
