@@ -92,7 +92,9 @@ type IncrementalStats struct {
 	Solves    int `json:"solves"`
 	FastPath  int `json:"fast_path"`
 	// Discretization tasks and Algorithm 1 position sweeps recomputed
-	// versus served from the session caches.
+	// versus served from the session caches. A task counts as recomputed
+	// when any of its parts (ring cuts, event samples, one device pair)
+	// was regenerated.
 	TasksRecomputed int `json:"tasks_recomputed"`
 	TasksReused     int `json:"tasks_reused"`
 	SweepsComputed  int `json:"sweeps_computed"`

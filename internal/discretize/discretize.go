@@ -211,33 +211,49 @@ func (g *Generator) buildNeighbors() {
 }
 
 // appendDevicePositions appends the per-device candidate positions of
-// device j: its level rings cut against its own sector edges, hole rays,
-// and all obstacle edges, plus event-angle boundary samples (Algorithm 2
-// step 8). Positions are filtered for placement feasibility but not
-// deduplicated.
+// device j: its ring cuts, then its event-angle samples. Positions are
+// filtered for placement feasibility but not deduplicated.
 func (g *Generator) appendDevicePositions(out []geom.Vec, j int) []geom.Vec {
 	feas := 0
-	add := func(p geom.Vec) {
-		feas++
-		if g.sc.FeasiblePosition(p) {
-			out = append(out, p)
-		}
-	}
+	out = g.appendRingCuts(out, j, &feas)
+	out = g.appendEventSamples(out, j, &feas)
+	g.cfg.Tracer.Add(hipotrace.CtrFeasibilityQueries, int64(feas))
+	return out
+}
+
+// appendRingCuts appends the feasible intersections of device j's level
+// rings with its own sector edges, its hole rays and the obstacle edges:
+// a function of device j and the obstacles alone. feas counts the
+// feasibility queries.
+func (g *Generator) appendRingCuts(out []geom.Vec, j int, feas *int) []geom.Vec {
 	segs, segsPooled := g.deviceSegs(j)
 	for _, c := range g.circles[j] {
 		for _, s := range segs {
 			for _, p := range geom.CircleSegmentIntersections(c, s) {
-				add(p)
+				*feas++
+				if g.sc.FeasiblePosition(p) {
+					out = append(out, p)
+				}
 			}
 		}
 	}
 	if segsPooled {
 		putSegBuf(segs)
 	}
+	return out
+}
+
+// appendEventSamples appends the feasible event-angle boundary samples of
+// device j (Algorithm 2 step 8). Besides device j and the obstacles they
+// read the directions to j's 2·d_max neighbors. feas counts the
+// feasibility queries.
+func (g *Generator) appendEventSamples(out []geom.Vec, j int, feas *int) []geom.Vec {
 	for _, p := range g.eventAngleSamples(j) {
-		add(p)
+		*feas++
+		if g.sc.FeasiblePosition(p) {
+			out = append(out, p)
+		}
 	}
-	g.cfg.Tracer.Add(hipotrace.CtrFeasibilityQueries, int64(feas))
 	return out
 }
 
@@ -418,23 +434,22 @@ func (g *Generator) workers() int {
 // CandidatePositions. Results are deterministic regardless of worker count
 // or hand-out order.
 //
-// tasks, when non-nil, is a per-device cache of task workloads carried
-// across calls (internal/incremental): non-nil entries are reused verbatim
-// and nil entries are generated and written back. With a nil cache the
-// workloads live in pooled buffers for the duration of the call.
-func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
+// cache, when non-nil, carries the task workloads across calls
+// (internal/incremental): only the parts it does not hold are generated
+// and written back, and every task is assembled in the same order, so the
+// output is the same. With a nil cache the workloads live in pooled
+// buffers for the duration of the call.
+func (g *Generator) Positions(cache *TaskCache) []geom.Vec {
+	if cache != nil {
+		return g.cachedPositions(cache)
+	}
 	workers := g.workers()
-	var todo []schedule.Task
-	for i := range g.sc.Devices {
-		if tasks == nil || tasks[i] == nil {
-			todo = append(todo, schedule.Task{ID: i, Duration: g.TaskCost(i)})
-		}
+	todo := make([]schedule.Task, len(g.sc.Devices))
+	for i := range todo {
+		todo[i] = schedule.Task{ID: i, Duration: g.TaskCost(i)}
 	}
 	var reuse atomic.Int64
-	fresh := schedule.RunPoolOrdered(len(todo), workers, schedule.LPTOrder(todo), func(k int) []geom.Vec {
-		if tasks != nil {
-			return g.appendTaskPositions(nil, todo[k].ID)
-		}
+	all := schedule.RunPoolOrdered(len(todo), workers, schedule.LPTOrder(todo), func(k int) []geom.Vec {
 		buf, reused := getPosBuf()
 		if reused {
 			reuse.Add(1)
@@ -442,13 +457,6 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 		return g.appendTaskPositions(buf, todo[k].ID)
 	})
 	g.cfg.Tracer.Add(hipotrace.CtrPoolReuse, reuse.Load())
-	all := fresh
-	if tasks != nil {
-		for k, t := range todo {
-			tasks[t.ID] = fresh[k]
-		}
-		all = tasks
-	}
 	raw := 0
 	for _, pts := range all {
 		raw += len(pts)
@@ -457,9 +465,7 @@ func (g *Generator) Positions(tasks [][]geom.Vec) []geom.Vec {
 	dd := newDeduper(raw)
 	for _, pts := range all {
 		dd.add(pts)
-		if tasks == nil {
-			putPosBuf(pts)
-		}
+		putPosBuf(pts)
 	}
 	return dd.points
 }

@@ -4,23 +4,27 @@
 //
 // The design leans entirely on two purity contracts of the cold pipeline:
 //
-//   - Position generation is per-task: discretize task i (device i's own
-//     events plus pair constructions with larger-indexed neighbors) depends
-//     only on geometry within 2·d_max of device i, and the cold
-//     CandidatePositions is exactly "concatenate task outputs in device
-//     order, dedup, filter".
+//   - Position generation is per-part: discretize task i is device i's
+//     ring cuts (a function of device i and the obstacles), its event
+//     samples (which also read the directions to its 2·d_max neighbors)
+//     and one pair construction per neighbor j > i (a function of devices
+//     i and j and the obstacles), and the cold CandidatePositions is
+//     exactly "concatenate each task's parts in that order, tasks in
+//     device order, dedup, filter".
 //
 //   - The Algorithm 1 sweep is per-position: a position's candidate list
 //     depends only on geometry within d_max of the position, and the cold
 //     Extract is exactly "sweep positions in order, reduce, dominance-filter".
 //
-// A Session therefore caches per-task position lists and, per charger
-// type, a pdcs.Memo: a pointer-free store of per-position sweep outputs.
-// It computes a conservative blast radius for every mutation (2·d_max + pad
-// for tasks, d_max + pad for sweeps) and drops only what the radius
-// touches. Solving hands the caches to the cold path's own drivers —
-// discretize's Generator.Positions and pdcs.ExtractAt, which recompute
-// exactly the missing entries and reassemble in cold order — and selects
+// A Session therefore keeps, per charger type, a discretize.TaskCache of
+// every task's parts and a pdcs.Memo: a pointer-free store of per-position
+// sweep outputs. A mutation drops the parts that read the mutated device —
+// its own task, its pairs, and the event samples of the devices within
+// 2·d_max + pad of its old or new position — every part on an obstacle
+// insert, and the sweeps within d_max + pad of the change. Solving hands
+// the caches to the cold path's own drivers — discretize's
+// Generator.Positions and pdcs.ExtractAt, which recompute exactly the
+// missing parts and entries and reassemble in cold order — and selects
 // through core.SelectWith, so every incremental solve is bit-for-bit
 // identical to core.Solve on the mutated scenario. Only the positions the
 // store does not hold go through discretize's FilterUseful, because a held
@@ -115,8 +119,12 @@ type Stats struct {
 	Solves    int // Solve calls that ran the pipeline
 	FastPath  int // Solve calls served from the previous solution
 
-	TasksRecomputed int // discretize tasks regenerated
-	TasksReused     int // discretize tasks served from cache
+	// TasksRecomputed counts discretize tasks with at least one part
+	// (ring cuts, event samples, a pair) regenerated; TasksReused counts
+	// tasks served whole from the cache. Both count once per charger type
+	// and solve.
+	TasksRecomputed int
+	TasksReused     int
 	SweepsComputed  int // positions swept
 	SweepsReused    int // positions served from cache
 	GainsWarm       int // round-0 gains replayed into the CELF heap
@@ -125,9 +133,9 @@ type Stats struct {
 
 // typeState is the per-charger-type cache.
 type typeState struct {
-	// taskPos[i] is the cached (not deduplicated) position workload of
-	// discretize task i; nil marks it dirty.
-	taskPos [][]geom.Vec
+	// tasks holds the (not deduplicated) position workload of every
+	// discretize task, part by part.
+	tasks *discretize.TaskCache
 	// sweep holds the Algorithm 1 outputs of the positions of the last
 	// solve that no mutation has reached since.
 	sweep pdcs.Memo
@@ -179,7 +187,7 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	}
 	s.types = make([]*typeState, len(s.sc.ChargerTypes))
 	for q := range s.types {
-		s.types[q] = &typeState{taskPos: make([][]geom.Vec, len(s.sc.Devices))}
+		s.types[q] = &typeState{tasks: discretize.NewTaskCache(len(s.sc.Devices))}
 	}
 	return s, nil
 }
@@ -191,6 +199,9 @@ func (s *Session) Scenario() *model.Scenario { return s.sc.Clone() }
 func (s *Session) Stats() Stats {
 	st := s.stats
 	for _, ts := range s.types {
+		ct := ts.tasks.Stats()
+		st.TasksRecomputed += ct.TasksRegenerated
+		st.TasksReused += ct.TasksReused
 		hits, stores := ts.sweep.Counts()
 		st.SweepsReused += hits
 		st.SweepsComputed += stores
@@ -220,7 +231,7 @@ func (s *Session) applyOne(m Mutation) error {
 		}
 		s.sc.Devices = append(s.sc.Devices, m.Device)
 		for _, ts := range s.types {
-			ts.taskPos = append(ts.taskPos, nil)
+			ts.tasks.AddTask()
 		}
 		s.invalidateAround(m.Device.Pos, m.Device.Pos)
 		s.gains, s.gainsOK = nil, false
@@ -233,7 +244,7 @@ func (s *Session) applyOne(m Mutation) error {
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices = append(s.sc.Devices[:m.Index], s.sc.Devices[m.Index+1:]...)
 		for _, ts := range s.types {
-			ts.taskPos = append(ts.taskPos[:m.Index], ts.taskPos[m.Index+1:]...)
+			ts.tasks.RemoveTask(m.Index)
 		}
 		// Sweeps surviving the invalidation are > d_max from the removed
 		// device, so it never appears in their Covers; later device indices
@@ -257,7 +268,7 @@ func (s *Session) applyOne(m Mutation) error {
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices[m.Index] = d
 		for _, ts := range s.types {
-			ts.taskPos[m.Index] = nil
+			ts.tasks.DropDevice(m.Index)
 		}
 		s.invalidateAround(old, d.Pos)
 		return nil
@@ -283,13 +294,11 @@ func (s *Session) applyOne(m Mutation) error {
 			s.sc = visindex.Ensure(s.sc)
 		}
 		// Event angles and hole rays scan the full obstacle set, so every
-		// task's position workload is stale; sweeps depend on obstacles only
+		// part of every task is stale; sweeps depend on obstacles only
 		// within d_max of the position.
 		lo, hi := bbox(m.Obstacle.Shape.Vertices)
 		for q, ts := range s.types {
-			for i := range ts.taskPos {
-				ts.taskPos[i] = nil
-			}
+			ts.tasks.DropAll()
 			rs := s.sc.ChargerTypes[q].DMax + invPad
 			ts.sweep.DropIf(func(p geom.Vec) bool { return distToBox(p, lo, hi) <= rs })
 		}
@@ -322,22 +331,19 @@ func (s *Session) checkDevice(d model.Device, checkType bool) error {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// invalidateAround dirties, for every charger type, the discretize tasks
-// whose device lies within 2·d_max + pad of either point (their event
-// samples or pair constructions can involve the mutated device) and drops
-// cached sweeps within d_max + pad (their eligibility, coverage, or
-// feasibility can involve it).
+// invalidateAround drops, for every charger type, the event samples of
+// the devices within 2·d_max + pad of either point (they read the
+// direction to every device within 2·d_max) and the cached sweeps within
+// d_max + pad (their eligibility, coverage, or feasibility can involve the
+// mutated device). The mutated device's own parts and pairs are the
+// caller's to drop.
 func (s *Session) invalidateAround(a, b geom.Vec) {
 	for q, ts := range s.types {
 		ct := s.sc.ChargerTypes[q]
 		rt := 2*ct.DMax + invPad
-		for i := range ts.taskPos {
-			if ts.taskPos[i] == nil {
-				continue
-			}
-			p := s.sc.Devices[i].Pos
-			if p.Dist(a) <= rt || p.Dist(b) <= rt {
-				ts.taskPos[i] = nil
+		for i, d := range s.sc.Devices {
+			if d.Pos.Dist(a) <= rt || d.Pos.Dist(b) <= rt {
+				ts.tasks.DropEventSamples(i)
 			}
 		}
 		rs := ct.DMax + invPad
@@ -377,17 +383,14 @@ func (s *Session) Solve() (*core.Solution, error) {
 		BruteForceVisibility:  dcfg.BruteForceVisibility,
 		Tracer:                dcfg.Tracer,
 	}
-	// Tasks are counted before the type pool, so Stats stay deterministic;
-	// the per-type pipelines then run concurrently (see the package
-	// comment).
-	for _, ts := range s.types {
-		for _, pts := range ts.taskPos {
-			if pts == nil {
-				s.stats.TasksRecomputed++
-			} else {
-				s.stats.TasksReused++
-			}
+	if ix, ok := s.sc.AttachedVisibilityIndex().(*visindex.Index); ok {
+		// The index outlives device moves; keep its viewpoint memos to the
+		// devices as they stand.
+		pts := make([]geom.Vec, len(s.sc.Devices))
+		for i, d := range s.sc.Devices {
+			pts[i] = d.Pos
 		}
+		ix.RetainViewpoints(pts)
 	}
 	workers := s.opt.Workers
 	if workers <= 0 {
@@ -423,13 +426,13 @@ func (s *Session) discretizeConfig() discretize.Config {
 // positions returns the candidate positions of charger type q —
 // discretize.CandidatePositions on the current scenario, bit for bit — and
 // each one's sweep-store entry (-1 = not held), for pdcs.ExtractAt. It
-// regenerates only the dirty tasks, probes the store once per position and
+// regenerates only the task parts the cache does not hold, probes the store once per position and
 // filters for usefulness only the positions the store does not hold: a
 // held position is certified useful (see pdcs.Memo).
 func (s *Session) positions(q int, dcfg discretize.Config) ([]geom.Vec, []int32) {
 	ts := s.types[q]
 	gen := discretize.NewGenerator(s.sc, q, dcfg)
-	pts := gen.Positions(ts.taskPos)
+	pts := gen.Positions(ts.tasks)
 	held := make([]int32, len(pts))
 	var unheld []geom.Vec
 	for i, p := range pts {

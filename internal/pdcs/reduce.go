@@ -44,7 +44,7 @@ type streamReducer struct {
 	raw    int // stream length so far
 	thresh int // ents length that triggers the next reduce pass
 	ents   []reduceEnt
-	seen   map[uint64][]Candidate
+	seen   dupTable
 
 	// reduce-pass scratch, reused across passes.
 	bits    []uint64
@@ -66,7 +66,7 @@ func newStreamReducer(no int) *streamReducer {
 	return &streamReducer{
 		words:  (no + 63) / 64,
 		thresh: reduceTrigger,
-		seen:   make(map[uint64][]Candidate),
+		seen:   newDupTable(),
 		byDev:  make([][]int32, no),
 	}
 }
@@ -75,17 +75,92 @@ func newStreamReducer(no int) *streamReducer {
 func (r *streamReducer) add(c Candidate) {
 	seq := int32(r.raw)
 	r.raw++
-	h := covHash(&c)
-	for i := range r.seen[h] {
-		if sameCoverAndType(&r.seen[h][i], &c) {
-			return // rule 1: an identical earlier candidate wins the tie
-		}
+	if !r.seen.insert(covHash(&c), &c) {
+		return // rule 1: an identical earlier candidate wins the tie
 	}
-	r.seen[h] = append(r.seen[h], c)
+	r.keep(c, seq)
+}
+
+// keep enters a candidate that passed rule 1, at stream position seq, and
+// runs a dominance pass when the entries reach the trigger.
+func (r *streamReducer) keep(c Candidate, seq int32) {
 	r.ents = append(r.ents, reduceEnt{cand: c, total: c.TotalPower(), seq: seq})
 	if len(r.ents) >= r.thresh {
 		r.reduce()
 		r.thresh = max(reduceTrigger, 2*len(r.ents))
+	}
+}
+
+// dupTable is rule 1's exact-duplicate index: every distinct (charger
+// type, Covers) seen so far, in stream order, under a flat open-addressing
+// table of slots holding a candidate's hash and 1 + its index (0 = empty).
+// The slots hold no pointers, so the garbage collector skips them, and a
+// probe step compares the hash in the slot before it reads a candidate.
+// The table doubles at load factor ½, so a probe always reaches an empty
+// slot.
+type dupTable struct {
+	slots []dupSlot
+	cands []Candidate
+	shift uint // 64 − log₂(len(slots)): Fibonacci hashing keeps the top bits
+}
+
+type dupSlot struct {
+	h uint64
+	k int32
+}
+
+// dupTableBits is log₂ of the initial slot count: small, because a solve
+// of a few devices streams only a handful of candidates per charger type.
+const dupTableBits = 4
+
+func newDupTable() dupTable {
+	return dupTable{slots: make([]dupSlot, 1<<dupTableBits), shift: 64 - dupTableBits}
+}
+
+func (t *dupTable) home(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t.shift }
+
+// insert adds c, whose covHash is h, and reports true, unless an identical
+// candidate was inserted before: then it reports false and keeps the
+// earlier one.
+func (t *dupTable) insert(h uint64, c *Candidate) bool {
+	mask := uint64(len(t.slots) - 1)
+	for s := t.home(h); ; s = (s + 1) & mask {
+		sl := &t.slots[s]
+		if sl.k == 0 {
+			break
+		}
+		if sl.h == h && sameCoverAndType(&t.cands[sl.k-1], c) {
+			return false
+		}
+	}
+	t.cands = append(t.cands, *c)
+	if 2*len(t.cands) > len(t.slots) {
+		t.grow()
+	}
+	t.place(h, int32(len(t.cands)))
+	return true
+}
+
+// place puts 1 + index k under hash h into the first empty slot of its
+// probe sequence.
+func (t *dupTable) place(h uint64, k int32) {
+	mask := uint64(len(t.slots) - 1)
+	s := t.home(h)
+	for t.slots[s].k != 0 {
+		s = (s + 1) & mask
+	}
+	t.slots[s] = dupSlot{h: h, k: k}
+}
+
+// grow doubles the slot table and re-places every held candidate.
+func (t *dupTable) grow() {
+	old := t.slots
+	t.slots = make([]dupSlot, 2*len(old))
+	t.shift--
+	for _, sl := range old {
+		if sl.k != 0 {
+			t.place(sl.h, sl.k)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // there is — because any coarser bucketing could alias two distinct
 // viewpoints and break the bit-for-bit agreement with the brute-force path
 // that the differential tests assert. Values are shared: callers receive
-// the same slice/set on every hit and must not mutate them.
+// the same slice/set on every hit and must not mutate them. Nothing is
+// evicted on its own; an owner whose viewpoints move (an incremental
+// session's devices) bounds the store with RetainViewpoints.
 type memoStore struct {
 	shadows sync.Map // posKey -> *geom.IntervalSet
 	events  sync.Map // posKey -> []float64
@@ -87,4 +89,39 @@ func (ix *Index) HoleRays(p geom.Vec, rmax float64) []geom.Segment {
 	hr := visibility.HoleRaysOf(p, rmax, ix.obs, ix.LineOfSight)
 	v, _ := ix.memo.holes.LoadOrStore(k, hr)
 	return v.([]geom.Segment)
+}
+
+// RetainViewpoints drops every memo entry whose viewpoint is not one of
+// pts, so the memos hold only live viewpoints: an incremental session
+// calls it with its current device positions before each solve, as
+// Certificates keeps only the positions of its last call. Dropping an
+// entry costs a recomputation if its viewpoint is queried again, never a
+// different answer.
+func (ix *Index) RetainViewpoints(pts []geom.Vec) {
+	keep := make(map[posKey]struct{}, len(pts))
+	for _, p := range pts {
+		keep[keyOf(p)] = struct{}{}
+	}
+	drop := func(m *sync.Map, key func(k any) posKey) {
+		m.Range(func(k, _ any) bool {
+			if _, ok := keep[key(k)]; !ok {
+				m.Delete(k)
+			}
+			return true
+		})
+	}
+	asPos := func(k any) posKey { return k.(posKey) }
+	drop(&ix.memo.shadows, asPos)
+	drop(&ix.memo.events, asPos)
+	drop(&ix.memo.holes, func(k any) posKey { r := k.(rayKey); return posKey{r.x, r.y} })
+}
+
+// MemoLen returns the number of entries the per-viewpoint memos hold.
+func (ix *Index) MemoLen() int {
+	n := 0
+	count := func(_, _ any) bool { n++; return true }
+	ix.memo.shadows.Range(count)
+	ix.memo.events.Range(count)
+	ix.memo.holes.Range(count)
+	return n
 }
