@@ -3,39 +3,28 @@
 // wallclock, ctxflow, errdrop, anglesafe, mutexguard, nanflow, goroleak)
 // plus six whole-program analyzers built on the interprocedural
 // call-graph, effect-summary, and taint engines (hotpath, lockorder,
-// ctxprop, detorder, fpassoc, sharedwrite) — fifteen in all. It has two
-// modes:
-//
-// Standalone, over the whole module (or a subset of packages):
+// ctxprop, detorder, fpassoc, sharedwrite) — fifteen in all — over the
+// whole module or a subset of its packages:
 //
 //	go run ./cmd/hipolint ./...
 //	go run ./cmd/hipolint -only floatcmp,errdrop ./internal/geom
 //	go run ./cmd/hipolint -only hotpath ./...        # whole-program only
 //	go run ./cmd/hipolint -fix ./...                 # apply suggested fixes
-//	go run ./cmd/hipolint -format=sarif ./... > out.sarif
-//	go run ./cmd/hipolint -baseline .hipolint-baseline.json ./...
-//	go run ./cmd/hipolint -write-baseline .hipolint-baseline.json ./...
 //	go run ./cmd/hipolint -effect-report effects.json ./...
 //	go run ./cmd/hipolint -taint-report taint.json ./...
 //
-// As a vet tool, speaking the go vet unit-checker protocol:
+// Each finding prints as `file:line:col: analyzer: message`, followed by
+// one tab-indented `file:line:col: message` line per supporting location
+// (a hot path's call chain, a taint's source-to-sink chain, a lock
+// cycle's acquisitions).
 //
-//	go build -o /tmp/hipolint ./cmd/hipolint
-//	go vet -vettool=/tmp/hipolint ./...
+// Package loading and per-package analysis run on GOMAXPROCS workers;
+// output order is deterministic regardless of worker scheduling.
 //
-// Vet mode runs the per-package analyzers only: the unit-checker protocol
-// hands the tool one package at a time, so whole-program analyses cannot
-// see the call graph they need there.
-//
-// Package loading and per-package analysis run on a worker pool sized by
-// -parallel (default: GOMAXPROCS); output order is deterministic
-// regardless of worker scheduling.
-//
-// Exit status: 0 when no diagnostics, 1 (standalone) or 2 (vet mode) when
-// findings are reported, 2 on operational errors. Suppress individual
-// findings with `//lint:ignore <analyzer> <reason>` on or directly above
-// the flagged line; accept a batch of historical findings with a baseline
-// file (new findings still fail, and the baseline may only shrink).
+// Exit status: 0 when no diagnostics, 1 when findings are reported, 2 on
+// operational errors. Suppress individual findings with
+// `//lint:ignore <analyzer> <reason>` on or directly above the flagged
+// line.
 package main
 
 import (
@@ -47,6 +36,7 @@ import (
 	"strings"
 
 	"hipo/internal/lint"
+	"hipo/internal/schedule"
 )
 
 // printf writes CLI output with an explicit error discard: a failed write
@@ -56,21 +46,6 @@ func printf(w io.Writer, format string, args ...any) {
 }
 
 func main() {
-	// The go vet protocol probes the tool identity with -V=full and then
-	// invokes it with a single *.cfg argument per package.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		printVersion(os.Stdout)
-		return
-	}
-	// The go command also probes `-flags` for tool-specific flags it should
-	// forward; this suite defines none.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		printf(os.Stdout, "[]\n")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVet(os.Args[1], os.Stderr))
-	}
 	os.Exit(runStandalone(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -80,18 +55,14 @@ func runStandalone(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("hipolint", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		only          = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list          = fs.Bool("list", false, "list analyzers and exit")
-		fix           = fs.Bool("fix", false, "apply machine-suggested fixes to the source files")
-		formatName    = fs.String("format", "text", "output format: text or sarif")
-		baselinePath  = fs.String("baseline", "", "baseline file: only findings absent from it fail")
-		writeBaseline = fs.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
-		effectReport  = fs.String("effect-report", "", "write the //hipo:hotpath effect-summary report (JSON) to this file")
-		taintReport   = fs.String("taint-report", "", "write the order-taint sink report (hipolint-taint/v1 JSON) to this file")
-		parallel      = fs.Int("parallel", runtime.GOMAXPROCS(0), "package loading / analysis worker count")
+		only         = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list         = fs.Bool("list", false, "list analyzers and exit")
+		fix          = fs.Bool("fix", false, "apply machine-suggested fixes to the source files")
+		effectReport = fs.String("effect-report", "", "write the //hipo:hotpath effect-summary report (JSON) to this file")
+		taintReport  = fs.String("taint-report", "", "write the order-taint sink report (hipolint-taint/v1 JSON) to this file")
 	)
 	fs.Usage = func() {
-		printf(errw, "usage: hipolint [-only name,...] [-list] [-fix] [-format text|sarif] [-baseline file] [-write-baseline file] [-effect-report file] [-taint-report file] [-parallel n] [packages]\n")
+		printf(errw, "usage: hipolint [-only name,...] [-list] [-fix] [-effect-report file] [-taint-report file] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -106,26 +77,18 @@ func runStandalone(args []string, out, errw io.Writer) int {
 		}
 		return 0
 	}
-	if *formatName != "text" && *formatName != "sarif" {
-		printf(errw, "hipolint: unknown -format %q (want text or sarif)\n", *formatName)
-		return 2
-	}
 	analyzers, progAnalyzers, err := selectSuites(*only)
 	if err != nil {
 		printf(errw, "hipolint: %v\n", err)
 		return 2
 	}
-	root, err := os.Getwd()
+	workers := runtime.GOMAXPROCS(0)
+	pkgs, err := lint.LoadModuleParallel(".", fs.Args(), workers)
 	if err != nil {
 		printf(errw, "hipolint: %v\n", err)
 		return 2
 	}
-	pkgs, err := lint.LoadModuleParallel(".", fs.Args(), *parallel)
-	if err != nil {
-		printf(errw, "hipolint: %v\n", err)
-		return 2
-	}
-	diags, err := runPerPackage(pkgs, analyzers, *parallel)
+	diags, err := runPerPackage(pkgs, analyzers, workers)
 	if err != nil {
 		printf(errw, "hipolint: %v\n", err)
 		return 2
@@ -173,45 +136,16 @@ func runStandalone(args []string, out, errw io.Writer) int {
 		diags = unfixedDiagnostics(diags, dropped)
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(diags, root)
-		if err := lint.WriteBaselineFile(*writeBaseline, b); err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
-		}
-		printf(errw, "hipolint: wrote %d finding(s) to %s\n", len(b.Findings), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		b, err := lint.ReadBaselineFile(*baselinePath)
-		if err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
-		}
-		var stale int
-		diags, stale = b.Filter(diags, root)
-		if stale > 0 {
-			printf(errw, "hipolint: %d baseline entr(y/ies) no longer produced; regenerate %s to ratchet down\n", stale, *baselinePath)
-		}
-	}
-
-	if *formatName == "sarif" {
-		if err := lint.WriteSARIF(out, analyzers, progAnalyzers, diags, root); err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
-		}
-		if len(diags) > 0 {
-			return 1
-		}
-		return 0
-	}
-	exit := 0
 	for _, d := range diags {
 		printf(out, "%s\n", d)
-		exit = 1
+		for _, r := range d.Related {
+			printf(out, "\t%s:%d:%d: %s\n", r.Pos.Filename, r.Pos.Line, r.Pos.Column, r.Message)
+		}
 	}
-	return exit
+	if len(diags) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // runPerPackage applies the per-package analyzers to every package on a
@@ -221,37 +155,20 @@ func runPerPackage(pkgs []*lint.Package, analyzers []*lint.Analyzer, workers int
 	if len(analyzers) == 0 {
 		return nil, nil
 	}
-	perPkg := make([][]lint.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	if workers > len(pkgs) {
-		workers = len(pkgs)
+	type result struct {
+		diags []lint.Diagnostic
+		err   error
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range idx {
-				perPkg[i], errs[i] = lint.RunAnalyzers(pkgs[i], analyzers)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	results := schedule.RunPool(len(pkgs), workers, func(i int) result {
+		diags, err := lint.RunAnalyzers(pkgs[i], analyzers)
+		return result{diags, err}
+	})
 	var diags []lint.Diagnostic
-	for i := range pkgs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
 		}
-		diags = append(diags, perPkg[i]...)
+		diags = append(diags, r.diags...)
 	}
 	return diags, nil
 }
@@ -305,19 +222,6 @@ func unfixedDiagnostics(diags, dropped []lint.Diagnostic) []lint.Diagnostic {
 		}
 	}
 	return out
-}
-
-// selectAnalyzers resolves the -only flag to a subset of the per-package
-// suite; program-analyzer names are rejected here (runVet uses it).
-func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	as, ps, err := selectSuites(only)
-	if err != nil {
-		return nil, err
-	}
-	if len(ps) > 0 {
-		return nil, fmt.Errorf("analyzer %q is whole-program only", ps[0].Name)
-	}
-	return as, nil
 }
 
 // selectSuites resolves the -only flag against both suites. An empty flag

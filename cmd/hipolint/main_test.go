@@ -31,12 +31,17 @@ func moduleRoot(t *testing.T) string {
 // of the test, so package patterns like ./... resolve the whole module.
 func chdirModuleRoot(t *testing.T) {
 	t.Helper()
-	root := moduleRoot(t)
+	chdir(t, moduleRoot(t))
+}
+
+// chdir moves the test into dir for the duration of the test.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(root); err != nil {
+	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -150,87 +155,55 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput runs the suite on a small package with -format=sarif and
-// checks the log parses and carries a rule descriptor per analyzer.
-func TestSARIFOutput(t *testing.T) {
+// TestRelatedLocationsPrinted runs a whole-program analyzer on a scratch
+// module and checks that the text output lists the finding's supporting
+// locations — the hot path's call chain and the effect's origin — one
+// tab-indented file:line:col line each, directly under the finding.
+func TestRelatedLocationsPrinted(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads module export data; skipped in -short mode")
+		t.Skip("compiles a scratch module; skipped in -short mode")
 	}
-	chdirModuleRoot(t)
-	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-format=sarif", "./internal/model"}, &out, &errw); code != 0 {
-		t.Fatalf("-format=sarif exited %d: %s", code, errw.String())
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []any `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version=%q runs=%d, want 2.1.0 with one run", log.Version, len(log.Runs))
-	}
-	rules := map[string]bool{}
-	for _, r := range log.Runs[0].Tool.Driver.Rules {
-		rules[r.ID] = true
-	}
-	for _, a := range lint.Analyzers() {
-		if !rules[a.Name] {
-			t.Errorf("SARIF log missing rule descriptor for %q", a.Name)
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module relmod\n\ngo 1.22\n",
+		"a.go": `package relmod
+
+import "time"
+
+var sink time.Time
+
+func stamp() { sink = time.Now() }
+
+func middle() { stamp() }
+
+//hipo:hotpath
+func Root() { middle() }
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestBaselineGate: the committed baseline must verify cleanly against the
-// tree (exit 0), and an unknown-schema file must be rejected.
-func TestBaselineGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads module export data; skipped in -short mode")
-	}
-	chdirModuleRoot(t)
+	chdir(t, dir)
 	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-baseline", ".hipolint-baseline.json", "./internal/model"}, &out, &errw); code != 0 {
-		t.Errorf("-baseline gate exited %d:\n%s%s", code, out.String(), errw.String())
+	if code := runStandalone([]string{"-only", "hotpath", "./..."}, &out, &errw); code != 1 {
+		t.Fatalf("hipolint exited %d, want 1:\n%s%s", code, out.String(), errw.String())
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other"}`), 0o644); err != nil {
-		t.Fatal(err)
+	file := filepath.Join(dir, "a.go")
+	want := []string{
+		file + ":12:6: hotpath: hot path root relmod.Root reaches denied effect(s) wallclock",
+		"\t" + file + ":12:15: relmod.Root calls relmod.middle",
+		"\t" + file + ":9:17: relmod.middle calls relmod.stamp",
+		"\t" + file + ":7:23: wallclock effect originates here",
 	}
-	out.Reset()
-	errw.Reset()
-	if code := runStandalone([]string{"-baseline", bad, "./internal/model"}, &out, &errw); code != 2 {
-		t.Errorf("bad baseline schema exited %d, want 2", code)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d output lines, want %d:\n%s", len(lines), len(want), out.String())
 	}
-}
-
-// TestWriteBaselineSnapshot: -write-baseline on a clean package produces a
-// schema-tagged empty snapshot and exits 0.
-func TestWriteBaselineSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads module export data; skipped in -short mode")
-	}
-	chdirModuleRoot(t)
-	path := filepath.Join(t.TempDir(), "base.json")
-	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-write-baseline", path, "./internal/model"}, &out, &errw); code != 0 {
-		t.Fatalf("-write-baseline exited %d: %s", code, errw.String())
-	}
-	b, err := lint.ReadBaselineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 0 {
-		t.Errorf("snapshot has %d findings on a clean package, want 0", len(b.Findings))
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }
 
@@ -244,8 +217,7 @@ func TestListAnalyzers(t *testing.T) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
 	}
-	// Whole-program analyzers are listed too, tagged with their layer so
-	// users know they are unavailable under go vet.
+	// Whole-program analyzers are listed too, tagged with their layer.
 	for _, name := range []string{"hotpath", "lockorder", "ctxprop", "detorder", "fpassoc", "sharedwrite"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing program analyzer %q:\n%s", name, out.String())
@@ -258,24 +230,28 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
-func TestSelectAnalyzersRejectsProgramNames(t *testing.T) {
-	// The vet entry point can only run per-package analyzers; asking it for
-	// a whole-program one must fail loudly, not silently no-op.
-	if _, err := selectAnalyzers("hotpath"); err == nil || !strings.Contains(err.Error(), "whole-program") {
-		t.Errorf("selectAnalyzers(hotpath) = %v, want whole-program error", err)
-	}
-}
-
 func TestSelectAnalyzers(t *testing.T) {
-	as, err := selectAnalyzers("floatcmp, errdrop")
+	as, ps, err := selectSuites("floatcmp, errdrop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 2 || as[0].Name != "floatcmp" || as[1].Name != "errdrop" {
-		t.Errorf("selectAnalyzers = %v, want [floatcmp errdrop]", as)
+	if len(as) != 2 || as[0].Name != "floatcmp" || as[1].Name != "errdrop" || len(ps) != 0 {
+		t.Errorf("selectSuites = %v, %v, want [floatcmp errdrop], []", as, ps)
 	}
-	if _, err := selectAnalyzers("nosuch"); err == nil {
-		t.Error("selectAnalyzers(nosuch) succeeded, want error")
+	if _, _, err := selectSuites("nosuch"); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
+		t.Errorf("selectSuites(nosuch) = %v, want unknown-analyzer error", err)
+	}
+}
+
+func TestSelectAnalyzersAcceptsProgramNames(t *testing.T) {
+	// A whole-program name selects that program analyzer alone, and may be
+	// mixed with per-package names.
+	as, ps, err := selectSuites("hotpath,errdrop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(as) != 1 || as[0].Name != "errdrop" || len(ps) != 1 || ps[0].Name != "hotpath" {
+		t.Errorf("selectSuites(hotpath,errdrop) = %v, %v, want [errdrop], [hotpath]", as, ps)
 	}
 }
 

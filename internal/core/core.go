@@ -55,14 +55,13 @@ type Options struct {
 	// Workers, so it may run Workers² goroutines at once (see
 	// internal/incremental).
 	Workers int
-	// SkipDominanceFilter and SkipPairConstructions are ablation switches
-	// forwarded to PDCS extraction.
-	SkipDominanceFilter   bool
-	SkipPairConstructions bool
+	// SkipDominanceFilter is an ablation switch forwarded to PDCS
+	// extraction.
+	SkipDominanceFilter bool
 	// BruteForceVisibility disables the spatial visibility index
 	// (internal/visindex) and answers every occlusion query by exhaustive
 	// obstacle scan. The two paths produce identical placements; the brute
-	// path is kept as the differential reference and benchmark baseline.
+	// path is kept as the differential reference.
 	BruteForceVisibility bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
@@ -172,12 +171,11 @@ func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, err
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cfg := pdcs.Config{
-		Eps1:                  opt.Eps1(),
-		Workers:               workers,
-		SkipDominanceFilter:   opt.SkipDominanceFilter,
-		SkipPairConstructions: opt.SkipPairConstructions,
-		BruteForceVisibility:  opt.BruteForceVisibility,
-		Tracer:                opt.Tracer,
+		Eps1:                 opt.Eps1(),
+		Workers:              workers,
+		SkipDominanceFilter:  opt.SkipDominanceFilter,
+		BruteForceVisibility: opt.BruteForceVisibility,
+		Tracer:               opt.Tracer,
 	}
 	defer snapshotMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is

@@ -42,10 +42,6 @@ type Config struct {
 	// Workers bounds the goroutines generating per-device positions
 	// (0 = GOMAXPROCS).
 	Workers int
-	// SkipPairConstructions disables the device-pair line/arc constructions
-	// (Algorithm 2 steps 1–7), leaving only per-device ring events. Used by
-	// ablation benchmarks.
-	SkipPairConstructions bool
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
@@ -287,8 +283,8 @@ func (g *Generator) deviceSegs(j int) (segs []geom.Segment, pooled bool) {
 
 // appendPairPositions appends the candidate positions arising from the
 // device pair (i, j): ring/ring intersections, cross ring/sector-edge and
-// ring/hole-ray intersections, and — unless disabled — Algorithm 2's line
-// and inscribed-arc constructions. It assumes the pair is within 2·d_max
+// ring/hole-ray intersections, and Algorithm 2's line and inscribed-arc
+// constructions. It assumes the pair is within 2·d_max
 // (callers walk precomputed neighbor sets). Not deduplicated.
 func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	ct := g.sc.ChargerTypes[g.q]
@@ -324,9 +320,6 @@ func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	crossSegs(g.circles[j], g.edges[i])
 	crossSegs(g.circles[j], g.holes[i])
 
-	if g.cfg.SkipPairConstructions {
-		return out
-	}
 	both := make([]geom.Circle, 0, len(g.circles[i])+len(g.circles[j]))
 	both = append(both, g.circles[i]...)
 	both = append(both, g.circles[j]...)
@@ -395,11 +388,9 @@ func (g *Generator) TaskCost(i int) float64 {
 		cost += ci*cj +
 			ci*float64(len(g.edges[j])+len(g.holes[j])) +
 			cj*float64(len(g.edges[i])+len(g.holes[i]))
-		if !g.cfg.SkipPairConstructions {
-			// Line plus two inscribed-arc circles against both ring sets
-			// and both sector-edge pairs.
-			cost += 3*(ci+cj) + 2*float64(len(g.edges[i])+len(g.edges[j]))
-		}
+		// Line plus two inscribed-arc circles against both ring sets and
+		// both sector-edge pairs.
+		cost += 3*(ci+cj) + 2*float64(len(g.edges[i])+len(g.edges[j]))
 	}
 	return cost
 }

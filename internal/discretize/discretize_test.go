@@ -132,18 +132,6 @@ func TestCandidatePositionsIncludeRingIntersections(t *testing.T) {
 	}
 }
 
-func TestSkipPairConstructionsShrinks(t *testing.T) {
-	sc := twoDeviceScenario()
-	full := CandidatePositions(sc, 0, Config{Eps1: 0.4})
-	slim := CandidatePositions(sc, 0, Config{Eps1: 0.4, SkipPairConstructions: true})
-	if len(slim) > len(full) {
-		t.Errorf("skipping constructions grew the set: %d > %d", len(slim), len(full))
-	}
-	if len(slim) == 0 {
-		t.Error("per-device events alone should still yield candidates")
-	}
-}
-
 func TestFinerEpsMoreCandidates(t *testing.T) {
 	sc := twoDeviceScenario()
 	coarse := CandidatePositions(sc, 0, Config{Eps1: 0.8})

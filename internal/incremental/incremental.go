@@ -377,11 +377,10 @@ func (s *Session) Solve() (*core.Solution, error) {
 	}
 	dcfg := s.discretizeConfig()
 	pcfg := pdcs.Config{
-		Eps1:                  dcfg.Eps1,
-		Workers:               dcfg.Workers,
-		SkipPairConstructions: dcfg.SkipPairConstructions,
-		BruteForceVisibility:  dcfg.BruteForceVisibility,
-		Tracer:                dcfg.Tracer,
+		Eps1:                 dcfg.Eps1,
+		Workers:              dcfg.Workers,
+		BruteForceVisibility: dcfg.BruteForceVisibility,
+		Tracer:               dcfg.Tracer,
 	}
 	if ix, ok := s.sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 		// The index outlives device moves; keep its viewpoint memos to the
@@ -415,11 +414,10 @@ func (s *Session) Solve() (*core.Solution, error) {
 
 func (s *Session) discretizeConfig() discretize.Config {
 	return discretize.Config{
-		Eps1:                  s.opt.Eps1(),
-		Workers:               s.opt.Workers,
-		SkipPairConstructions: s.opt.SkipPairConstructions,
-		BruteForceVisibility:  s.opt.BruteForceVisibility,
-		Tracer:                s.opt.Tracer,
+		Eps1:                 s.opt.Eps1(),
+		Workers:              s.opt.Workers,
+		BruteForceVisibility: s.opt.BruteForceVisibility,
+		Tracer:               s.opt.Tracer,
 	}
 }
 

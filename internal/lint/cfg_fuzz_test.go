@@ -28,6 +28,11 @@ func FuzzCFGBuild(f *testing.F) {
 		"package p\nfunc f(n int) int { switch n { case 0: fallthrough; case 1: return 1; default: panic(n) }; return 0 }",
 		"package p\nfunc f() { defer g(); for i := 0; i < 3; i++ { defer g() } }\nfunc g() {}",
 		"package p\nfunc f(xs []int) { for range xs { } ; for _, x := range xs { _ = x } }",
+		"package p\nfunc f(v any) int { switch x := v.(type) { case int: return x; case nil: break; default: _ = x }; return 0 }",
+		"package p\nfunc f(n int) { top: if n > 0 { n--; goto top } }",
+		"package p\nfunc f(ch chan int) { L: for { select { case <-ch: break L; default: continue L } } }",
+		"package p\nfunc f(n int) int { switch { case n < 0: return -1; case n == 0: default: return 1 }; for {} }",
+		"package p\nfunc f() func() int { return func() int { g := func(b bool) int { if b { return 1 }; return 0 }; return g(true) } }",
 	} {
 		f.Add([]byte(src))
 	}

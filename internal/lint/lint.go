@@ -70,8 +70,8 @@ type Diagnostic struct {
 	Message  string
 	Fixes    []SuggestedFix
 	// Related locates the supporting evidence of interprocedural findings
-	// (call-chain steps, effect origins); rendered as SARIF
-	// relatedLocations.
+	// (call-chain steps, effect origins); hipolint prints each one as an
+	// indented file:line:col line under its finding.
 	Related []RelatedPos
 }
 

@@ -454,11 +454,10 @@ func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
 	sc = cfg.ensureVisibility(sc)
 	endDisc := cfg.Tracer.StartStage(hipotrace.StageDiscretize, typeLabel(q))
 	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                  cfg.Eps1,
-		Workers:               cfg.Workers,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
-		Tracer:                cfg.Tracer,
+		Eps1:                 cfg.Eps1,
+		Workers:              cfg.Workers,
+		BruteForceVisibility: cfg.BruteForceVisibility,
+		Tracer:               cfg.Tracer,
 	})
 	endDisc()
 	return ExtractAt(sc, q, positions, cfg, nil, nil)
@@ -595,8 +594,6 @@ type Config struct {
 	Workers int
 	// SkipDominanceFilter keeps dominated candidates (ablation).
 	SkipDominanceFilter bool
-	// SkipPairConstructions is forwarded to internal/discretize (ablation).
-	SkipPairConstructions bool
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool

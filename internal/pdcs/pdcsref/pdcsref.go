@@ -213,11 +213,10 @@ func Extract(sc *model.Scenario, q int, cfg pdcs.Config) []pdcs.Candidate {
 	label := fmt.Sprintf("type-%d", q)
 	endDisc := tr.StartStage(hipotrace.StageDiscretize, label)
 	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                  cfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
-		Tracer:                tr,
+		Eps1:                 cfg.Eps1,
+		Workers:              workers,
+		BruteForceVisibility: cfg.BruteForceVisibility,
+		Tracer:               tr,
 	})
 	endDisc()
 
