@@ -217,25 +217,34 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGreedy contrasts the three greedy variants on the same
-// candidate set.
+// BenchmarkAblationGreedy contrasts the greedy variants on the same
+// candidate set; the plain global greedy runs through core.SelectWith.
 func BenchmarkAblationGreedy(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
 	cands := core.ExtractCandidates(sc, core.DefaultOptions())
 	for _, v := range []struct {
 		name    string
 		variant core.GreedyVariant
+		greedy  func(*submodular.Instance, []pdcs.Candidate) submodular.Result // nil: the variant's own
 	}{
-		{"lazy", core.GreedyLazy},
-		{"global", core.GreedyGlobal},
-		{"per-type", core.GreedyPerType},
-		{"continuous", core.GreedyContinuous},
+		{"lazy", core.GreedyLazy, nil},
+		{"global", core.GreedyLazy, func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
+			return submodular.GreedyGlobal(inst)
+		}},
+		{"per-type", core.GreedyPerType, nil},
+		{"continuous", core.GreedyContinuous, nil},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Variant = v.variant
 			for i := 0; i < b.N; i++ {
-				sol, err := core.SelectFromCandidates(sc, cands, opt)
+				var sol *core.Solution
+				var err error
+				if v.greedy != nil {
+					sol, err = core.SelectWith(sc, cands, opt, v.greedy)
+				} else {
+					sol, err = core.SelectFromCandidates(sc, cands, opt)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

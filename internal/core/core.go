@@ -26,10 +26,8 @@ type GreedyVariant int
 
 const (
 	// GreedyLazy is the CELF-accelerated global greedy (default; identical
-	// value to GreedyGlobal, usually far fewer gain evaluations).
+	// value to submodular.GreedyGlobal, usually far fewer gain evaluations).
 	GreedyLazy GreedyVariant = iota
-	// GreedyGlobal picks the globally best feasible strategy each round.
-	GreedyGlobal
 	// GreedyPerType is the paper's Algorithm 3: partitions processed in
 	// charger-type order.
 	GreedyPerType
@@ -196,8 +194,6 @@ func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, err
 // label names the variant for trace spans and pprof detail labels.
 func (v GreedyVariant) label() string {
 	switch v {
-	case GreedyGlobal:
-		return "global"
 	case GreedyPerType:
 		return "per-type"
 	case GreedyContinuous:
@@ -228,8 +224,6 @@ func snapshotMemoStats(sc *model.Scenario, tr *hipotrace.Tracer) func() {
 func SelectFromCandidates(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options) (*Solution, error) {
 	return SelectWith(sc, cands, opt, func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
 		switch opt.Variant {
-		case GreedyGlobal:
-			return submodular.GreedyGlobal(inst)
 		case GreedyPerType:
 			return submodular.GreedyPerType(inst)
 		case GreedyContinuous:

@@ -7,7 +7,9 @@ import (
 
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/pdcs"
 	"hipo/internal/power"
+	"hipo/internal/submodular"
 )
 
 // smallScenario: two charger types, four devices, one obstacle.
@@ -84,24 +86,32 @@ func TestSolveInvalidScenario(t *testing.T) {
 func TestVariantsConsistent(t *testing.T) {
 	sc := smallScenario()
 	cands := ExtractCandidates(sc, DefaultOptions())
-	var values []float64
-	for _, v := range []GreedyVariant{GreedyLazy, GreedyGlobal, GreedyPerType} {
+	value := func(v GreedyVariant) float64 {
 		opt := DefaultOptions()
 		opt.Variant = v
 		sol, err := SelectFromCandidates(sc, cands, opt)
 		if err != nil {
 			t.Fatalf("variant %d: %v", v, err)
 		}
-		values = append(values, sol.ApproxValue)
+		return sol.ApproxValue
 	}
+	lazy, perType := value(GreedyLazy), value(GreedyPerType)
+	// The plain global greedy is the reference the lazy one must match.
+	sol, err := SelectWith(sc, cands, DefaultOptions(), func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
+		return submodular.GreedyGlobal(inst)
+	})
+	if err != nil {
+		t.Fatalf("global greedy: %v", err)
+	}
+	global := sol.ApproxValue
 	// Lazy and global must agree exactly; per-type may differ but not by
 	// more than a factor 2 either way (both are 1/2-approximations of the
 	// same optimum).
-	if math.Abs(values[0]-values[1]) > 1e-9 {
-		t.Errorf("lazy %v != global %v", values[0], values[1])
+	if math.Abs(lazy-global) > 1e-9 {
+		t.Errorf("lazy %v != global %v", lazy, global)
 	}
-	if values[2] < values[1]/2-1e-9 || values[1] < values[2]/2-1e-9 {
-		t.Errorf("per-type %v vs global %v inconsistent", values[2], values[1])
+	if perType < global/2-1e-9 || global < perType/2-1e-9 {
+		t.Errorf("per-type %v vs global %v inconsistent", perType, global)
 	}
 }
 

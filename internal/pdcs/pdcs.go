@@ -9,7 +9,6 @@ package pdcs
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -55,17 +54,18 @@ type eligible struct {
 	pw     float64 // approximated charging power
 }
 
-// prunePad widens the device-grid query radius past every exact-predicate
-// tolerance (the ±geom.Eps range gates), mirroring the padding contract of
-// internal/visindex: the grid may only over-approximate.
+// prunePad widens the tiling box past every exact-predicate tolerance
+// (the ±geom.Eps range gates) and pads each tile's envelope past the floor
+// quantization, mirroring the padding contract of internal/visindex: the
+// tile prefilter may only over-approximate.
 const prunePad = 1e-6
 
 // eligibleCache precomputes, per device type, the piecewise power levels
 // for one charger type so that eligibility checks at thousands of candidate
-// positions avoid re-deriving them. It also carries the device grid and
-// the viewpoint tiling that prune each position's device scan, and the
-// devices' visibility certificates that answer most of its line-of-sight
-// queries. Safe for concurrent use.
+// positions avoid re-deriving them. It also carries the tile table whose
+// per-tile device lists prune every position's device scan, on every
+// scenario, and the devices' visibility certificates that answer most of
+// its line-of-sight queries. Safe for concurrent use.
 type eligibleCache struct {
 	sc     *model.Scenario
 	q      int
@@ -83,13 +83,10 @@ type eligibleCache struct {
 	dirs    []geom.Vec
 	cosHalf []float64
 
-	// dgrid narrows each position's device scan to the cells overlapping
-	// its d_max disk (nil without devices).
-	dgrid *visindex.DeviceGrid
-	// vpg tiles the positions around the devices, each tile memoizing its
-	// device prefilter; certs[j] is device j's visibility certificate
-	// (both nil under brute-force visibility or without obstacles).
-	vpg    *visindex.ViewpointGrid
+	// tiles holds each tile's device prefilter; certs[j] is device j's
+	// visibility certificate (nil under brute-force visibility or without
+	// obstacles).
+	tiles  tileTable
 	certs  []*visindex.DeviceCertificate
 	arPool sync.Pool // *covArena
 }
@@ -114,12 +111,9 @@ func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
 	for t := range sc.DeviceTypes {
 		c.cosHalf[t] = math.Cos(sc.DeviceTypes[t].Alpha / 2)
 	}
-	if len(sc.Devices) > 0 {
-		c.dgrid = visindex.NewDeviceGrid(pts, ct.DMax/2)
-	}
+	c.tiles = newTileTable(ct.DMax+prunePad, pts)
 	if len(sc.Obstacles) > 0 {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
-			c.vpg = ix.NewViewpointGrid(ct.DMax+prunePad, pts)
 			c.certs = ix.Certificates(pts)
 		}
 	}
@@ -138,55 +132,6 @@ func (c *eligibleCache) getArena() (ar *covArena, reused bool) {
 
 func (c *eligibleCache) putArena(ar *covArena) { c.arPool.Put(ar) }
 
-// Tile-prefilter tolerances. The prefilter works on the tile envelope (all
-// positions within slack of the tile center), so its gates must out-pad the
-// exact per-position predicates in tryDevice:
-//
-//   - tileDistPad widens the [DMin, DMax] annulus beyond the exact ±geom.Eps
-//     range gates, and is also the minimum center distance (beyond the
-//     slack) at which the sector gate may engage — guaranteeing every
-//     in-tile position is at least tileDistPad from the device, which
-//     bounds the exact sector gate's angular tolerance below.
-//   - tileAngPad bounds the widening of the exact sector acceptance cone:
-//     tryDevice accepts cos ψ ≥ cos(α/2) − ε′ with ε′ = geom.Eps·max(1,d)/d
-//     ≤ 1e-9/tileDistPad = 1e-6 for d ≥ tileDistPad, and
-//     arccos(cos θ − ε′) ≤ θ + √(2ε′) ≤ θ + 1.5e-3 < θ + tileAngPad.
-const (
-	tileDistPad = 1e-3
-	tileAngPad  = 2e-3
-)
-
-// tileDevices lists, in ascending index order, every device that could pass
-// tryDevice's exact eligibility gates from some position within slack of
-// center — the conservative per-tile device prefilter memoized by
-// Viewpoint.AuxDevices. A device is skipped only when the whole tile
-// envelope provably fails the charging-range annulus or lies outside the
-// device's (padded) receiving sector.
-func (c *eligibleCache) tileDevices(center geom.Vec, slack float64) []int32 {
-	sc := c.sc
-	ct := c.ct
-	out := make([]int32, 0, len(sc.Devices))
-	for j := range sc.Devices {
-		dev := &sc.Devices[j]
-		delta := dev.Pos.Sub(center)
-		dc := delta.Len()
-		if dc-slack > ct.DMax+geom.Eps+tileDistPad || dc+slack < ct.DMin-geom.Eps-tileDistPad {
-			continue
-		}
-		dt := &sc.DeviceTypes[dev.Type]
-		if dt.Alpha < 2*math.Pi-geom.Eps && dc > slack+tileDistPad {
-			// Directions device→position across the tile deviate from the
-			// device→center direction by at most asin(slack/dc).
-			spread := math.Asin(math.Min(1, slack/dc))
-			if geom.AbsAngleDiff(delta.Neg().Angle(), dev.Orient) > dt.Alpha/2+spread+tileAngPad {
-				continue
-			}
-		}
-		out = append(out, int32(j))
-	}
-	return out
-}
-
 // rangeGates returns the squared charging-range gates with the ±geom.Eps
 // tolerances baked in.
 func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
@@ -201,47 +146,15 @@ func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
 
 // at lists, in ascending device order, the devices chargeable from p,
 // appending them to buf[:0]: callers pass the previous position's slice
-// back in once its contents have been copied into candidate Covers.
+// back in once its contents have been copied into candidate Covers. Only
+// the devices of p's tile list are tried; outside the tiling no device is
+// within d_max + prunePad, so none is in range.
 func (c *eligibleCache) at(p geom.Vec, buf []eligible) []eligible {
 	certified, exact := 0, 0
-	ct := c.ct
 	dmin2, dmax2 := c.rangeGates()
 	out := buf[:0]
-	switch {
-	case c.vpg != nil:
-		// Tile-pruned scan: the per-tile device prefilter is computed once
-		// per viewpoint tile and shared by every position swept inside it,
-		// in ascending index order like the full scan. Outside the tiling
-		// no device is within d_max + prunePad, so none is in range.
-		vp := c.vpg.At(p)
-		if vp == nil {
-			return out
-		}
-		aux, ok := vp.AuxDevices()
-		if !ok {
-			center, slack := vp.Envelope()
-			aux = vp.SetAuxDevices(c.tileDevices(center, slack))
-		}
-		for _, j := range aux {
-			out, certified, exact = c.tryDevice(out, int(j), p, dmin2, dmax2, certified, exact)
-		}
-	case c.dgrid != nil:
-		// Grid-pruned scan: only devices whose cell overlaps the d_max disk
-		// around p, visited in ascending index order like the full scan.
-		var maskBuf [4]uint64
-		mask := maskBuf[:]
-		if w := c.dgrid.Words(); w > len(maskBuf) {
-			mask = make([]uint64, w)
-		} else {
-			mask = maskBuf[:w]
-		}
-		c.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
-		for w, m := range mask {
-			for ; m != 0; m &= m - 1 {
-				j := w*64 + bits.TrailingZeros64(m)
-				out, certified, exact = c.tryDevice(out, j, p, dmin2, dmax2, certified, exact)
-			}
-		}
+	for _, j := range c.tiles.devices(p, c) {
+		out, certified, exact = c.tryDevice(out, int(j), p, dmin2, dmax2, certified, exact)
 	}
 	c.tracer.Add(hipotrace.CtrLOSQueries, int64(certified+exact))
 	c.tracer.Add(hipotrace.CtrLOSCertified, int64(certified))
@@ -250,9 +163,8 @@ func (c *eligibleCache) at(p geom.Vec, buf []eligible) []eligible {
 }
 
 // tryDevice applies the exact eligibility predicates to device j and
-// appends it to out when chargeable from p. It is the single predicate
-// body behind both the tile- and grid-pruned scans, so the two paths can
-// only differ in which provably-out-of-range devices they skip. Line of
+// appends it to out when chargeable from p; the tile prefilter only
+// decides which provably-out-of-range devices it never sees. Line of
 // sight comes from device j's certificate where it decides the query
 // (counted in certified) and from the exact predicate otherwise (exact).
 func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax2 float64, certified, exact int) ([]eligible, int, int) {

@@ -97,29 +97,48 @@ func TestEligibleObstacle(t *testing.T) {
 }
 
 // TestEligibleAtAllocationFree pins the per-position eligibility scan to
-// zero heap allocations once the chunk's buffer is reused, on both the
-// device-grid path (no obstacles) and the viewpoint-tile path (obstacles,
-// certified line of sight, warm tile memos).
+// zero heap allocations once the chunk's buffer and the tile lists are
+// warm, whatever the scenario: obstacle-free, walled with certified line of
+// sight, walled under brute-force visibility, and obstacle-free with more
+// than 256 devices.
 func TestEligibleAtAllocationFree(t *testing.T) {
 	walled := ringScenario()
 	walled.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}, {Shape: geom.Rect(17, 19, 18, 21)}}
+	crowded := ringScenario()
+	for i := 0; i < 300; i++ {
+		crowded.Devices = append(crowded.Devices, model.Device{
+			Pos: geom.V(15+0.5*float64(i%20), 16+0.5*float64(i/20)), Orient: float64(i), Type: 0,
+		})
+	}
 	probes := []geom.Vec{geom.V(20, 20), geom.V(19.5, 21), geom.V(21, 19), geom.V(0, 0)}
-	for _, sc := range []*model.Scenario{ringScenario(), walled} {
-		cfg := Config{Eps1: 0.4}
-		c := newEligibleCache(cfg.ensureVisibility(sc), 0, cfg)
+	for _, arm := range []struct {
+		name  string
+		sc    *model.Scenario
+		brute bool
+	}{
+		{"obstacle-free", ringScenario(), false},
+		{"walled-index", walled, false},
+		{"walled-brute", walled, true},
+		{"obstacle-free-306-devices", crowded, false},
+	} {
+		cfg := Config{Eps1: 0.4, BruteForceVisibility: arm.brute}
+		c := newEligibleCache(cfg.ensureVisibility(arm.sc), 0, cfg)
 		var buf []eligible
 		for _, p := range probes {
-			buf = c.at(p, buf) // warm the buffer and the tile memos
+			buf = c.at(p, buf) // warm the buffer and the tile lists
+		}
+		if len(c.at(geom.V(20, 20), nil)) == 0 {
+			t.Fatalf("%s: no device eligible at the ring center", arm.name)
 		}
 		if n := testing.AllocsPerRun(50, func() {
 			for _, p := range probes {
 				buf = c.at(p, buf)
 			}
 		}); n != 0 {
-			t.Errorf("%d obstacles: eligibleCache.at allocates %v times per run", len(sc.Obstacles), n)
+			t.Errorf("%s: eligibleCache.at allocates %v times per run", arm.name, n)
 		}
-		if len(sc.Obstacles) > 0 && (c.vpg == nil || c.certs == nil) {
-			t.Fatal("obstacle scenario did not take the viewpoint-tile path with certificates")
+		if wantCerts := len(arm.sc.Obstacles) > 0 && !arm.brute; (c.certs != nil) != wantCerts {
+			t.Errorf("%s: certificates built = %v, want %v", arm.name, c.certs != nil, wantCerts)
 		}
 	}
 }

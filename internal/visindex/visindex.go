@@ -383,3 +383,26 @@ func clipToBox(a, b, lo, hi geom.Vec) (t0, t1 float64, ok bool) {
 	}
 	return t0, t1, true
 }
+
+// AppendObstaclesNearDisk appends to out, in ascending index order, every
+// obstacle whose padded bounding box intersects the disk of radius r
+// around p — a conservative superset of the obstacles whose exact geometry
+// can interact with anything inside the disk. Discretization uses it to
+// drop far obstacles from per-device ring cutting without changing output.
+func (ix *Index) AppendObstaclesNearDisk(out []int32, p geom.Vec, r float64) []int32 {
+	r2 := r * r
+	for h := range ix.boxLo {
+		if boxDist2(p, ix.boxLo[h], ix.boxHi[h]) <= r2 {
+			out = append(out, int32(h))
+		}
+	}
+	return out
+}
+
+// boxDist2 returns the squared distance from p to the closest point of the
+// axis-aligned box [lo, hi] (zero when p is inside).
+func boxDist2(p, lo, hi geom.Vec) float64 {
+	dx := math.Max(0, math.Max(lo.X-p.X, p.X-hi.X))
+	dy := math.Max(0, math.Max(lo.Y-p.Y, p.Y-hi.Y))
+	return dx*dx + dy*dy
+}
