@@ -97,11 +97,11 @@ const (
 	// CtrLOSExact counts PDCS line-of-sight queries the exact predicate
 	// decided: CtrLOSCertified + CtrLOSExact = CtrLOSQueries.
 	CtrLOSExact
-	// CtrPoolReuse counts buffer reuses out of the extraction sync.Pools:
-	// the Covers arenas of PDCS sweep chunks and discretization's position
-	// and scratch buffers. Each reuse is one hot-loop allocation avoided.
-	// (PDCS eligibility slices live in per-chunk scratch, not a pool, and
-	// are not counted.)
+	// CtrPoolReuse counts buffer reuses out of the extraction pools: the
+	// per-chunk state of PDCS sweep chunks (eligibility slice, Covers arena,
+	// raw candidate buffer and chunk reducer, reused together as one count)
+	// and discretization's position and scratch buffers. Each reuse is a
+	// set of hot-loop allocations avoided.
 	CtrPoolReuse
 	// CtrLazyWarmHits counts CELF heap seeds taken from a warm-start prior
 	// gain table (GreedyLazyWarm) instead of being recomputed: each hit is

@@ -1,7 +1,8 @@
 package pdcs
 
-// Test hooks for the duplicate-index differential (reduce_test.go), which
-// imports internal/expt and so cannot live in this package.
+// Test hooks for the stream reducer's differentials (reduce_test.go,
+// chunked_test.go), which import internal/expt and so cannot live in this
+// package.
 
 // mapDups is the map[uint64][]Candidate index rule 1 used before dupTable:
 // the reference the flat table is checked against.
@@ -25,7 +26,7 @@ func ReduceStream(cands []Candidate, no int, mapRef bool) []Candidate {
 	ref := mapDups{}
 	for _, c := range cands {
 		if !mapRef {
-			r.add(c)
+			r.add(&c)
 			continue
 		}
 		seq := int32(r.raw)
@@ -35,6 +36,27 @@ func ReduceStream(cands []Candidate, no int, mapRef bool) []Candidate {
 		}
 	}
 	return r.final()
+}
+
+// ReduceChunked cuts cands into chunks at the ascending stream indices
+// cuts, reduces each chunk on its own with one reducer reused from chunk
+// to chunk (as a sweep worker does), feeds every chunk's survivors to a
+// global reducer at their global stream positions (as ExtractAt's merge
+// does) and returns the global reducer's survivors and its stream length.
+func ReduceChunked(cands []Candidate, no int, cuts []int) ([]Candidate, int) {
+	local, global := newStreamReducer(no), newStreamReducer(no)
+	for k := 0; k <= len(cuts); k++ {
+		lo, hi := 0, len(cands)
+		if k > 0 {
+			lo = cuts[k-1]
+		}
+		if k < len(cuts) {
+			hi = cuts[k]
+		}
+		surv, seq := local.survivors(cands[lo:hi])
+		global.addRun(surv, seq, 0, int32(hi-lo))
+	}
+	return global.final(), global.raw
 }
 
 // DupInserts inserts cands, in order, into a fresh dupTable (or, with

@@ -306,7 +306,8 @@ func sameSolution(a, b *core.Solution) bool {
 // TestExtractRaceHammer re-runs the parallel extraction under several
 // GOMAXPROCS settings against the sequential seed reference. Under the race
 // detector (CI runs go test -race ./...) this hammers the chunked worker
-// pool, the shared viewpoint-grid memos, and the arena pool.
+// pool, the shared tile table, and the pooled per-chunk sweep state
+// (scratch, Covers arena, raw buffer and chunk reducer).
 func TestExtractRaceHammer(t *testing.T) {
 	sc := expt.BenchScenario(3, 12, 2)
 	eps1 := power.Eps1ForEps(wallEps)

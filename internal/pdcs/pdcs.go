@@ -86,9 +86,14 @@ type eligibleCache struct {
 	// tiles holds each tile's device prefilter; certs[j] is device j's
 	// visibility certificate (nil under brute-force visibility or without
 	// obstacles).
-	tiles  tileTable
-	certs  []*visindex.DeviceCertificate
-	arPool sync.Pool // *covArena
+	tiles tileTable
+	certs []*visindex.DeviceCertificate
+
+	// spare pools the sweep scratches of finished chunks for the next ones,
+	// so an extraction makes at most one per worker.
+	spareMu sync.Mutex
+	// guarded by spareMu
+	spare []*sweepScratch
 }
 
 func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
@@ -120,17 +125,30 @@ func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
 	return c
 }
 
-// getArena hands out a pooled Covers arena for one sweep chunk; reused is
-// true when the arena (and its partially filled chunk) came back from an
-// earlier chunk instead of being freshly allocated.
-func (c *eligibleCache) getArena() (ar *covArena, reused bool) {
-	if v := c.arPool.Get(); v != nil {
-		return v.(*covArena), true
+// getScratch hands out a pooled sweep scratch for one chunk, emptied;
+// reused is true when it came back from an earlier chunk instead of being
+// freshly allocated.
+func (c *eligibleCache) getScratch() (scr *sweepScratch, reused bool) {
+	c.spareMu.Lock()
+	if n := len(c.spare); n > 0 {
+		scr = c.spare[n-1]
+		c.spare = c.spare[:n-1]
 	}
-	return &covArena{}, false
+	c.spareMu.Unlock()
+	if scr == nil {
+		return &sweepScratch{}, false
+	}
+	scr.raw = scr.raw[:0]
+	scr.ends = scr.ends[:0]
+	scr.ar.reset()
+	return scr, true
 }
 
-func (c *eligibleCache) putArena(ar *covArena) { c.arPool.Put(ar) }
+func (c *eligibleCache) putScratch(scr *sweepScratch) {
+	c.spareMu.Lock()
+	c.spare = append(c.spare, scr)
+	c.spareMu.Unlock()
+}
 
 // rangeGates returns the squared charging-range gates with the ±geom.Eps
 // tolerances baked in.
@@ -210,14 +228,20 @@ func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax
 	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), certified, exact
 }
 
-// sweepScratch carries the per-chunk reusable state of the sweep: the
-// eligibility slice, the orientation index scratch and the Covers arena.
-// One scratch serves every position of a sweep chunk, so per-position
-// allocations vanish entirely.
+// sweepScratch carries the pooled working state of one sweep chunk: the
+// eligibility slice, the orientation index scratch and the Covers arena
+// that serve every position of the chunk, the chunk's raw candidate stream
+// with the end of each position's output in it, and the reducer that cuts
+// that stream down to its survivors. It goes back to the pool when the
+// chunk ends, so an extraction allocates these buffers once per worker,
+// not once per chunk, and per-position allocations vanish entirely.
 type sweepScratch struct {
-	el  []eligible
-	idx []int
-	ar  *covArena
+	el   []eligible
+	idx  []int
+	ar   covArena
+	raw  []Candidate
+	ends []int32
+	red  *streamReducer
 }
 
 // sweepPointAppend is Algorithm 1: it rotates a charger of type q at point
@@ -225,7 +249,7 @@ type sweepScratch struct {
 // coverage set to buf, choosing orientations at the critical positions
 // where a device is about to fall out of the charging sector. Output
 // (order included) is bit-for-bit identical to the seed sweep preserved in
-// internal/pdcs/pdcsref; only the bookkeeping differs — a per-chunk
+// internal/pdcs/pdcsref; only the bookkeeping differs — a pooled
 // eligibility slice and index scratch, direct cover comparisons instead of a
 // per-position signature map, and arena-carved Covers built in device
 // order with no post-hoc sort.
@@ -239,7 +263,7 @@ func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCach
 	if ct.Alpha >= 2*math.Pi-geom.Eps {
 		// Omnidirectional charger: a single strategy covers everything.
 		scr.idx = allIdxInto(scr.idx, len(el))
-		buf = append(buf, makeCandidate(p, 0, q, el, scr.idx, scr.ar))
+		buf = append(buf, makeCandidate(p, 0, q, el, scr.idx, &scr.ar))
 		return buf
 	}
 	half := ct.Alpha / 2
@@ -264,7 +288,7 @@ func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCach
 		if hasSameCover(buf[start:], el, idx) {
 			continue
 		}
-		buf = append(buf, makeCandidate(p, phi, q, el, idx, scr.ar))
+		buf = append(buf, makeCandidate(p, phi, q, el, idx, &scr.ar))
 	}
 	scr.idx = idx[:0]
 	kept := filterLocalDominated(buf[start:])
@@ -375,22 +399,45 @@ func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
 	return ExtractAt(sc, q, positions, cfg, nil, nil)
 }
 
-// sweepChunk is the number of positions one sweep task covers: one output
-// buffer, index scratch, and Covers arena serve them all.
+// sweepChunk is the number of positions one sweep task covers: one pooled
+// scratch serves them all.
 const sweepChunk = 256
 
-// ExtractAt is the single Algorithm 1 driver. It sweeps every position of
-// type q in contiguous chunks on cfg.Workers goroutines (0 = GOMAXPROCS)
-// and feeds the outputs, in position order, to the streaming reducer and
-// the exact global dominance filter (Algorithm 2 step 9). With
-// cfg.SkipDominanceFilter it returns the concatenated per-position outputs
-// instead — each already free of candidates dominated at its own position.
-// A non-nil memo (one per charger type) serves, straight from its arena,
-// the positions it holds and stores the fresh ones; it marks both for its
-// next End. held[i] is positions[i]'s entry as memo.Find returned it since
-// the last End (-1 = not held), so no position is probed twice; held must
-// be as long as positions with a memo and nil without one. With a nil memo
-// nothing is retained past the call. Returned candidates own their Covers.
+// chunkOut is what one sweep chunk hands the merge: its survivors (with
+// the dominance filter skipped, its whole output) in stream order, seq[i]
+// being cands[i]'s position in the chunk's raw stream, and ends[k], where
+// the chunk's k-th run stops in that stream. A run is one position with a
+// memo, so that held positions can be fed between runs and each run
+// stored, and the whole chunk without one. With a memo, own is the chunk's
+// full output, staged for Memo.store. All Covers are copied out of the
+// pooled arena.
+type chunkOut struct {
+	cands []Candidate
+	seq   []int32
+	ends  []int32
+	own   []Candidate
+}
+
+// ExtractAt is the single Algorithm 1 driver. It sweeps the positions of
+// type q in contiguous chunks of sweepChunk on cfg.Workers goroutines
+// (0 = GOMAXPROCS). Each chunk's output goes through the chunk's pooled
+// streaming reducer, and only its survivors leave the worker. The merge
+// feeds them, in position order at their global stream positions, to a
+// global reducer and then to the exact global dominance filter (Algorithm 2
+// step 9), so the raw stream is never held whole; candidates_raw still
+// counts all of it. With cfg.SkipDominanceFilter it returns the
+// concatenated per-position outputs instead — each already free of
+// candidates dominated at its own position.
+//
+// A non-nil memo (one per charger type) serves the positions it holds
+// straight from its arena, fed to the global reducer at their stream
+// positions, and stores the fresh ones, which alone are swept: each chunk
+// stages its full output until the merge has stored it. The memo marks
+// both for its next End. held[i] is positions[i]'s entry as memo.Find
+// returned it since the last End (-1 = not held), so no position is probed
+// twice; held must be as long as positions with a memo and nil without
+// one. With a nil memo nothing is retained past the call. Returned
+// candidates own their Covers.
 //
 //hipo:hotpath
 func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo, held []int32) []Candidate {
@@ -407,88 +454,112 @@ func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo
 	cache.tracer = tr
 	tr.Add(hipotrace.CtrPowerLevels, cache.powerLevels)
 
-	// With a memo, only the positions it does not hold are swept, and ends
-	// records where each swept position's output stops within its chunk so
-	// it can be stored.
+	// With a memo, only the positions it does not hold are swept; freshAt[k]
+	// is the index in positions of the k-th of them.
 	fresh := positions
-	var ends []int32
+	var freshAt []int32
 	if memo != nil {
 		fresh = nil
 		for i, p := range positions {
 			if held[i] < 0 {
 				fresh = append(fresh, p)
+				freshAt = append(freshAt, int32(i))
 			}
 		}
-		ends = make([]int32, len(fresh))
 	}
 	nChunks := (len(fresh) + sweepChunk - 1) / sweepChunk
-	chunks := schedule.RunPool(nChunks, workers, func(ci int) []Candidate {
+	chunks := schedule.RunPool(nChunks, workers, func(ci int) chunkOut {
 		lo := ci * sweepChunk
 		hi := min(lo+sweepChunk, len(fresh))
-		ar, reused := cache.getArena()
+		scr, reused := cache.getScratch()
 		if reused {
 			tr.Add(hipotrace.CtrPoolReuse, 1)
 		}
-		scr := sweepScratch{ar: ar}
-		var buf []Candidate
 		for i := lo; i < hi; i++ {
-			buf = sweepPointAppend(sc, q, fresh[i], cache, &scr, buf)
-			if ends != nil {
-				ends[i] = int32(len(buf))
-			}
+			scr.raw = sweepPointAppend(sc, q, fresh[i], cache, scr, scr.raw)
+			scr.ends = append(scr.ends, int32(len(scr.raw)))
 		}
-		cache.putArena(ar)
-		return buf
+		out := chunkOut{ends: []int32{int32(len(scr.raw))}}
+		if memo != nil {
+			out.ends = append([]int32(nil), scr.ends...)
+		}
+		if memo != nil || cfg.SkipDominanceFilter {
+			out.own = append([]Candidate(nil), scr.raw...)
+			compactCovers(out.own)
+		}
+		if cfg.SkipDominanceFilter {
+			out.cands = out.own
+		} else {
+			if scr.red == nil {
+				scr.red = newStreamReducer(len(sc.Devices))
+			}
+			out.cands, out.seq = scr.red.survivors(scr.raw)
+		}
+		cache.putScratch(scr)
+		return out
 	})
 
-	// The candidate stream, in position order, goes through the streaming
-	// reducer — or, with the dominance filter skipped, is concatenated.
+	// The merge walks the stream in position order: held positions' memo
+	// candidates and each run's share of its chunk's survivors go
+	// to the global reducer (or, with the dominance filter skipped, are
+	// concatenated), and the memo is handed every served and stored
+	// position.
 	var out []Candidate
 	var red *streamReducer
 	if !cfg.SkipDominanceFilter {
 		red = newStreamReducer(len(sc.Devices))
 	}
-	feed := func(cs []Candidate) {
-		if red == nil {
-			out = append(out, cs...)
-			return
-		}
-		for i := range cs {
-			red.add(cs[i])
-		}
-	}
-	if memo == nil {
-		for _, cs := range chunks {
-			feed(cs)
-		}
-	} else {
-		k := 0               // index of the next fresh position
-		var lent []Candidate // a held position's candidates, rebuilt from the arena
-		for i, p := range positions {
-			if e := held[i]; e >= 0 {
-				memo.serve(e)
-				lent = memo.appendCandidates(lent[:0], e, p, q)
-				feed(lent)
+	raw := 0
+	next := 0            // index in positions of the next position to feed
+	var lent []Candidate // a held position's candidates, rebuilt from the arena
+	feedHeld := func(upto int) {
+		for ; next < upto; next++ {
+			e := held[next]
+			memo.serve(e)
+			lent = memo.appendCandidates(lent[:0], e, positions[next], q)
+			raw += len(lent)
+			if red == nil {
+				out = append(out, lent...)
 				continue
 			}
-			start := int32(0)
-			if k%sweepChunk > 0 {
-				start = ends[k-1]
+			for l := range lent {
+				red.add(&lent[l])
 			}
-			own := chunks[k/sweepChunk][start:ends[k]]
-			memo.store(p, own)
-			feed(own)
-			k++
 		}
 	}
-	if red == nil {
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(out)))
-	} else {
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(red.raw))
+	for ci := range chunks {
+		ch := &chunks[ci]
+		start, c := int32(0), 0 // the run's first raw index and survivor
+		for k, end := range ch.ends {
+			if memo != nil {
+				i := int(freshAt[ci*sweepChunk+k])
+				feedHeld(i)
+				memo.store(positions[i], ch.own[start:end])
+				next = i + 1
+			}
+			raw += int(end - start)
+			if red == nil {
+				out = append(out, ch.cands[start:end]...)
+			} else {
+				n := c
+				for n < len(ch.seq) && ch.seq[n] < end {
+					n++
+				}
+				red.addRun(ch.cands[c:n], ch.seq[c:n], start, end)
+				c = n
+			}
+			start = end
+		}
+	}
+	if memo != nil {
+		feedHeld(len(positions))
+	}
+	tr.Add(hipotrace.CtrCandidatesRaw, int64(raw))
+	if red != nil {
 		out = FilterDominated(red.final(), len(sc.Devices))
 	}
 	tr.Add(hipotrace.CtrCandidatesKept, int64(len(out)))
-	detachCovers(out)
+	compactCovers(out)
 	return out
 }
 

@@ -39,6 +39,22 @@ import (
 // Removing such candidates from the filter's input changes neither which
 // remaining candidates are kept (kept candidates never consult dropped
 // ones) nor their order, so the survivors' filtered output is identical.
+//
+// Why reducing per chunk first is safe too. ExtractAt runs one reducer per
+// sweep chunk, over that chunk's stream alone, and feeds the survivors to a
+// global reducer at their global stream positions (addRun). A chunk's
+// stream is a contiguous stretch of the full stream (with a memo, held
+// positions' candidates may fall between its positions), so chunk-local
+// stream order agrees with global order, and rules 1 and 2 judge a drop
+// only by exact covers, exact totals and relative stream order. A witness y
+// that justifies dropping x inside the chunk therefore justifies it in the
+// full stream, and the argument above makes each such drop one
+// FilterDominated makes on the full stream. The same holds for the global
+// reducer, whose input is a subsequence of the full stream in the same
+// order. Every candidate that reaches FilterDominated is thus a full-stream
+// candidate, in full-stream order, and every one removed is one it drops,
+// so by the paragraph above the output is unchanged — first-wins tie
+// representatives included.
 type streamReducer struct {
 	words  int
 	raw    int // stream length so far
@@ -71,14 +87,58 @@ func newStreamReducer(no int) *streamReducer {
 	}
 }
 
+// reset empties the reducer for a new stream, keeping its buffers.
+func (r *streamReducer) reset() {
+	r.raw = 0
+	r.thresh = reduceTrigger
+	r.ents = r.ents[:0]
+	r.seen.reset()
+}
+
 // add feeds the next candidate of the raw stream (in sweep output order).
-func (r *streamReducer) add(c Candidate) {
-	seq := int32(r.raw)
+func (r *streamReducer) add(c *Candidate) {
+	r.addAt(c, int32(r.raw))
 	r.raw++
-	if !r.seen.insert(covHash(&c), &c) {
+}
+
+// addAt feeds candidate c at stream position seq.
+func (r *streamReducer) addAt(c *Candidate, seq int32) {
+	if !r.seen.insert(covHash(c), c) {
 		return // rule 1: an identical earlier candidate wins the tie
 	}
-	r.keep(c, seq)
+	r.keep(*c, seq)
+}
+
+// addRun feeds a stretch of the stream that a chunk's reducer has cut down
+// to its survivors: the stretch is [from, to) in the chunk's numbering,
+// cands[i] sat at position seq[i] of it, and it starts where the stream
+// stands.
+func (r *streamReducer) addRun(cands []Candidate, seq []int32, from, to int32) {
+	base := int32(r.raw) - from
+	for i := range cands {
+		r.addAt(&cands[i], base+seq[i])
+	}
+	r.raw += int(to - from)
+}
+
+// survivors reduces one chunk's stream on its own, from an empty reducer:
+// rule 1 as the candidates stream in, then one closing reduce pass. It
+// returns the survivors in stream order with their stream positions, their
+// Covers copied out of raw's storage so the caller may reuse it.
+func (r *streamReducer) survivors(raw []Candidate) (cands []Candidate, seq []int32) {
+	r.reset()
+	for i := range raw {
+		r.add(&raw[i])
+	}
+	r.reduce()
+	r.sortBySeq()
+	cands = make([]Candidate, len(r.ents))
+	seq = make([]int32, len(r.ents))
+	for i := range r.ents {
+		cands[i], seq[i] = r.ents[i].cand, r.ents[i].seq
+	}
+	compactCovers(cands)
+	return cands, seq
 }
 
 // keep enters a candidate that passed rule 1, at stream position seq, and
@@ -115,6 +175,12 @@ const dupTableBits = 4
 
 func newDupTable() dupTable {
 	return dupTable{slots: make([]dupSlot, 1<<dupTableBits), shift: 64 - dupTableBits}
+}
+
+// reset empties the table, keeping its grown slot array.
+func (t *dupTable) reset() {
+	clear(t.slots)
+	t.cands = t.cands[:0]
 }
 
 func (t *dupTable) home(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t.shift }
@@ -231,12 +297,16 @@ func (r *streamReducer) reduce() {
 // final returns the surviving candidates in original stream order, ready
 // for the exact FilterDominated pass.
 func (r *streamReducer) final() []Candidate {
-	sort.Slice(r.ents, func(a, b int) bool { return r.ents[a].seq < r.ents[b].seq })
+	r.sortBySeq()
 	out := make([]Candidate, len(r.ents))
 	for i := range r.ents {
 		out[i] = r.ents[i].cand
 	}
 	return out
+}
+
+func (r *streamReducer) sortBySeq() {
+	sort.Slice(r.ents, func(a, b int) bool { return r.ents[a].seq < r.ents[b].seq })
 }
 
 // powersCoveredExact reports whether every covered power in a is ≤ the

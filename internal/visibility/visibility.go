@@ -46,9 +46,13 @@ func ShadowIntervals(p geom.Vec, poly geom.Polygon) *geom.IntervalSet {
 		s.Add(geom.FullCircle())
 		return &s
 	}
-	for _, e := range poly.Edges() {
-		ta := e.A.Sub(p).Angle()
-		tb := e.B.Sub(p).Angle()
+	vs := poly.Vertices
+	for i, a := range vs {
+		// Edge (V[i], V[i+1 mod n]), in Edges' order, without building the
+		// edge list.
+		b := vs[(i+1)%len(vs)]
+		ta := a.Sub(p).Angle()
+		tb := b.Sub(p).Angle()
 		// A segment viewed from an external point subtends < π; take the
 		// short way around.
 		d := geom.AngleDiff(ta, tb)
