@@ -221,7 +221,10 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 // candidate set; the plain global greedy runs through core.SelectWith.
 func BenchmarkAblationGreedy(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
-	cands := core.ExtractCandidates(sc, core.DefaultOptions())
+	cands, err := core.ExtractCandidates(sc, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, v := range []struct {
 		name    string
 		variant core.GreedyVariant
@@ -348,7 +351,7 @@ func BenchmarkPDCSSweepPoint(b *testing.B) {
 	cfg := pdcs.Config{Eps1: power.Eps1ForEps(0.15), SkipDominanceFilter: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pdcs.ExtractAt(sc, i%3, pts, cfg, nil, nil)
+		pdcs.ExtractAt(sc, i%3, pts, cfg)
 	}
 }
 
@@ -369,7 +372,10 @@ func BenchmarkGreedySelection(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
 	opt := core.DefaultOptions()
 	opt.SkipDominanceFilter = true
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
 	inst, _ := core.BuildInstance(sc, cands, opt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -443,7 +449,10 @@ func BenchmarkLemma44CellCount(b *testing.B) {
 // paper's "too computationally demanding" judgment.
 func BenchmarkAblationContinuousGreedy(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
-	cands := core.ExtractCandidates(sc, core.DefaultOptions())
+	cands, err := core.ExtractCandidates(sc, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, v := range []struct {
 		name    string
 		variant core.GreedyVariant

@@ -110,3 +110,32 @@ func TestWithContextPreCanceled(t *testing.T) {
 		t.Errorf("pre-canceled solve still ran for %v", elapsed)
 	}
 }
+
+// TestPreCanceledObjectivesFail: the objectives built on candidate
+// extraction (budgeted, max-min, proportional fairness) must report a
+// canceled context instead of solving over the charger types extracted
+// before the cancellation landed.
+func TestPreCanceledObjectivesFail(t *testing.T) {
+	sc := demoScenario()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		solve func() (*Placement, error)
+	}{
+		{"budgeted", func() (*Placement, error) {
+			return sc.SolveBudgeted(DeploymentBudget{Depot: Point{0, 0}, PerMeter: 1, Budget: 1e9}, WithContext(ctx))
+		}},
+		{"maxmin", func() (*Placement, error) { return sc.SolveMaxMin(50, 1, WithContext(ctx)) }},
+		{"proportional-fair", func() (*Placement, error) { return sc.SolveProportionalFair(WithContext(ctx)) }},
+	} {
+		p, err := tc.solve()
+		if !errors.Is(err, context.Canceled) {
+			n := -1
+			if p != nil {
+				n = len(p.Chargers)
+			}
+			t.Errorf("%s: err = %v with %d chargers, want context.Canceled", tc.name, err, n)
+		}
+	}
+}

@@ -93,6 +93,7 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	}
 	for _, want := range []string{
 		"hipo/internal/pdcs.Extract",
+		"hipo/internal/pdcs.(Store).Extract",
 		"hipo/internal/pdcs.ExtractAt",
 		"hipo/internal/pdcs.ExtractAll",
 		"hipo/internal/discretize.CandidatePositions",

@@ -123,7 +123,10 @@ func TestGreedyNearOptimalEndToEnd(t *testing.T) {
 		sc.ChargerTypes[0].Count = 1
 		sc.ChargerTypes[1].Count = 1
 		opt := core.DefaultOptions()
-		cands := core.ExtractCandidates(sc, opt)
+		cands, err := core.ExtractCandidates(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		inst, _ := core.BuildInstance(sc, cands, opt)
 		res := submodular.GreedyLazy(inst)
 		best := bruteForceSelect(inst)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
@@ -48,19 +47,14 @@ type Options struct {
 	Variant GreedyVariant
 	// Workers bounds the goroutines of each parallel pool (0 =
 	// GOMAXPROCS): task generation, the usefulness filter and the position
-	// sweep. Solve runs the charger types one after another, each with
-	// these pools; an incremental session also runs its types on a pool of
-	// Workers, so it may run Workers² goroutines at once (see
-	// internal/incremental).
+	// sweep of the per-type pipeline (pdcs.Extract). Solve runs the charger
+	// types one after another, each with these pools; an incremental
+	// session runs the same pipeline for its types on a pool of Workers, so
+	// it may run Workers² goroutines at once (see internal/incremental).
 	Workers int
 	// SkipDominanceFilter is an ablation switch forwarded to PDCS
 	// extraction.
 	SkipDominanceFilter bool
-	// BruteForceVisibility disables the spatial visibility index
-	// (internal/visindex) and answers every occlusion query by exhaustive
-	// obstacle scan. The two paths produce identical placements; the brute
-	// path is kept as the differential reference.
-	BruteForceVisibility bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
 	// variant of Section 8.3.
@@ -80,16 +74,6 @@ func (o Options) canceled() error {
 		return nil
 	}
 	return o.Ctx.Err()
-}
-
-// withVisibility attaches the spatial visibility index for this solve
-// unless brute force was requested. Ensure clones, so the caller's scenario
-// is never mutated.
-func withVisibility(sc *model.Scenario, opt Options) *model.Scenario {
-	if opt.BruteForceVisibility {
-		return sc
-	}
-	return visindex.Ensure(sc)
 }
 
 // DefaultEps is the paper's default approximation parameter ε.
@@ -137,8 +121,9 @@ type Solution struct {
 }
 
 // Solve runs the full HIPO pipeline on the scenario. The spatial
-// visibility index is built once here (unless opted out) and shared by
-// every downstream occlusion query of the solve.
+// visibility index is built once here and shared by every downstream
+// occlusion query of the solve; Ensure clones, so the caller's scenario is
+// never mutated.
 func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid scenario: %w", err)
@@ -146,8 +131,8 @@ func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 	if _, err := opt.Epsilon(); err != nil {
 		return nil, err
 	}
-	sc = withVisibility(sc, opt)
-	cands, err := extractCandidates(sc, opt)
+	sc = visindex.Ensure(sc)
+	cands, err := ExtractCandidates(sc, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -155,27 +140,17 @@ func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 }
 
 // ExtractCandidates runs PDCS extraction for every charger type, with the
-// position sweep of each type parallelized internally.
-func ExtractCandidates(sc *model.Scenario, opt Options) [][]pdcs.Candidate {
-	out, _ := extractCandidates(sc, opt)
-	return out
-}
-
-// extractCandidates is ExtractCandidates with cancellation between types.
-func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, error) {
-	sc = withVisibility(sc, opt)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// pools of each type's pipeline parallel inside. A canceled opt.Ctx stops
+// it between types with an error wrapping the context's.
+func ExtractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, error) {
+	sc = visindex.Ensure(sc)
 	cfg := pdcs.Config{
-		Eps1:                 opt.Eps1(),
-		Workers:              workers,
-		SkipDominanceFilter:  opt.SkipDominanceFilter,
-		BruteForceVisibility: opt.BruteForceVisibility,
-		Tracer:               opt.Tracer,
+		Eps1:                opt.Eps1(),
+		Workers:             opt.Workers,
+		SkipDominanceFilter: opt.SkipDominanceFilter,
+		Tracer:              opt.Tracer,
 	}
-	defer snapshotMemoStats(sc, opt.Tracer)()
+	defer visindex.TraceMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is
 	// already parallel. Unlike a warm session, a cold solve keeps them
 	// sequential: perfbench's traced run replays pdcs.Extract one type at a
@@ -184,7 +159,7 @@ func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, err
 	out := make([][]pdcs.Candidate, len(sc.ChargerTypes))
 	for q := range sc.ChargerTypes {
 		if err := opt.canceled(); err != nil {
-			return out, fmt.Errorf("core: solve canceled: %w", err)
+			return nil, fmt.Errorf("core: solve canceled: %w", err)
 		}
 		out[q] = pdcs.Extract(sc, q, cfg)
 	}
@@ -200,22 +175,6 @@ func (v GreedyVariant) label() string {
 		return "continuous"
 	default:
 		return "lazy"
-	}
-}
-
-// snapshotMemoStats captures the visibility-index memo hit/miss counts and
-// returns a flush recording the deltas accrued in between; a no-op without
-// a tracer or index.
-func snapshotMemoStats(sc *model.Scenario, tr *hipotrace.Tracer) func() {
-	ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index)
-	if !tr.Enabled() || !ok {
-		return func() {}
-	}
-	hits0, misses0 := ix.MemoStats()
-	return func() {
-		hits, misses := ix.MemoStats()
-		tr.Add(hipotrace.CtrVisMemoHits, hits-hits0)
-		tr.Add(hipotrace.CtrVisMemoMisses, misses-misses0)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -85,7 +86,10 @@ func TestSolveInvalidScenario(t *testing.T) {
 
 func TestVariantsConsistent(t *testing.T) {
 	sc := smallScenario()
-	cands := ExtractCandidates(sc, DefaultOptions())
+	cands, err := ExtractCandidates(sc, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	value := func(v GreedyVariant) float64 {
 		opt := DefaultOptions()
 		opt.Variant = v
@@ -230,8 +234,16 @@ func TestSolveContextCancellation(t *testing.T) {
 	if _, err := Solve(sc, opt); err == nil {
 		t.Error("canceled context should abort Solve")
 	}
+	// ExtractCandidates reports the cancellation instead of returning the
+	// types extracted so far.
+	if cands, err := ExtractCandidates(sc, opt); !errors.Is(err, context.Canceled) || cands != nil {
+		t.Errorf("canceled ExtractCandidates = %d types, %v; want no types and context.Canceled", len(cands), err)
+	}
 	// SelectFromCandidates also honors cancellation.
-	cands := ExtractCandidates(sc, DefaultOptions())
+	cands, err := ExtractCandidates(sc, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := SelectFromCandidates(sc, cands, opt); err == nil {
 		t.Error("canceled context should abort selection")
 	}

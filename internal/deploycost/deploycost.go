@@ -108,7 +108,10 @@ func SolveBudgeted(sc *model.Scenario, cm CostModel, budget float64, opt core.Op
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		return nil, err
+	}
 	inst, flat := core.BuildInstance(sc, cands, opt)
 	cost := make([]float64, len(flat))
 	for i, c := range flat {

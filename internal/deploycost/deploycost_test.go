@@ -184,7 +184,10 @@ func TestTourCostAndPlacementCost(t *testing.T) {
 func TestCheapestFeasible(t *testing.T) {
 	sc := costScenario()
 	cm := LinearCostModel(geom.V(10, 10), 1, 0, 0, nil)
-	cands := core.ExtractCandidates(sc, core.DefaultOptions())
+	cands, err := core.ExtractCandidates(sc, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cheapest := CheapestFeasible(cands, cm)
 	if math.IsInf(cheapest, 1) {
 		t.Fatal("no candidates found")

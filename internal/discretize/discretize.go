@@ -42,9 +42,6 @@ type Config struct {
 	// Workers bounds the goroutines generating per-device positions
 	// (0 = GOMAXPROCS).
 	Workers int
-	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
-	// scan instead of the spatial index (differential reference arm).
-	BruteForceVisibility bool
 	// Tracer, when non-nil, receives pipeline counters (feasibility
 	// queries). Generation hot paths count into locals and flush once per
 	// call, so a nil Tracer costs nothing.
@@ -108,11 +105,11 @@ type Generator struct {
 	// neighbors[i] lists, ascending, the devices within 2·d_max of device i
 	// (the O_i^k of Algorithm 4), excluding i itself.
 	neighbors [][]int
-	// ix (the scenario's visibility index; nil under brute-force
-	// visibility) and dgrid (a device-position grid; nil without devices)
-	// power the spatial prefilters. Each prefilter is a conservative
-	// superset re-checked by the exact predicate, so output is identical to
-	// an exhaustive scan.
+	// ix (the scenario's visibility index; nil when another index, such as
+	// model.BruteForce, is attached) and dgrid (a device-position grid; nil
+	// without devices) power the spatial prefilters. Each prefilter is a
+	// conservative superset re-checked by the exact predicate, so output is
+	// identical to an exhaustive scan.
 	ix    *visindex.Index
 	dgrid *visindex.DeviceGrid
 }
@@ -158,11 +155,7 @@ func NewGenerator(sc *model.Scenario, q int, cfg Config) *Generator {
 		g.obs = append(g.obs, perObs[h]...)
 		g.obsEdges[h] = g.obs[start:len(g.obs):len(g.obs)]
 	}
-	if !cfg.BruteForceVisibility {
-		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
-			g.ix = ix
-		}
-	}
+	g.ix, _ = sc.AttachedVisibilityIndex().(*visindex.Index)
 	g.buildNeighbors()
 	return g
 }
@@ -402,10 +395,7 @@ func (g *Generator) TaskCost(i int) float64 {
 //
 //hipo:hotpath
 func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
-	if !cfg.BruteForceVisibility {
-		sc = visindex.Ensure(sc)
-	}
-	g := NewGenerator(sc, q, cfg)
+	g := NewGenerator(visindex.Ensure(sc), q, cfg)
 	return g.FilterUseful(g.Positions(nil))
 }
 
@@ -426,7 +416,7 @@ func (g *Generator) workers() int {
 // or hand-out order.
 //
 // cache, when non-nil, carries the task workloads across calls
-// (internal/incremental): only the parts it does not hold are generated
+// (a pdcs.Store): only the parts it does not hold are generated
 // and written back, and every task is assembled in the same order, so the
 // output is the same. With a nil cache the workloads live in pooled
 // buffers for the duration of the call.

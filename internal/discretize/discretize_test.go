@@ -180,12 +180,16 @@ func TestFilterUsefulDropsClampedRingPoint(t *testing.T) {
 		})
 	}
 	for _, brute := range []bool{false, true} {
-		sc := base
-		if !brute {
-			sc = visindex.Ensure(base)
+		sc := base.Clone()
+		if brute {
+			sc.AttachVisibilityIndex(model.BruteForce(sc.Obstacles))
 		}
-		cfg := Config{Eps1: DefaultEps1(), BruteForceVisibility: brute}
+		sc = visindex.Ensure(sc)
+		cfg := Config{Eps1: DefaultEps1()}
 		g := NewGenerator(sc, 0, cfg)
+		if (g.ix == nil) != brute {
+			t.Fatalf("brute=%v: generator has the spatial index = %v", brute, g.ix != nil)
+		}
 		pts := g.Positions(nil)
 		if !has(pts, v) {
 			t.Fatalf("brute=%v: generation no longer emits the clamped vertex %v", brute, v)

@@ -59,7 +59,7 @@ type CacheStats struct {
 }
 
 // TaskCache carries the per-task position workloads of one charger type
-// across Positions calls (internal/incremental), part by part. The caller
+// across Positions calls (a pdcs.Store), part by part. The caller
 // drops the parts a scenario change reaches, through the methods below;
 // Positions regenerates exactly the parts a task needs and does not hold,
 // and reassembles the task in cold order, so its output is that of a fresh

@@ -185,7 +185,7 @@ func runTask(sc *model.Scenario, gens []*discretize.Generator, i int, eps1 float
 	var cands []pdcs.Candidate
 	for q, g := range gens {
 		pts := g.FilterUseful(discretize.Dedup(g.TaskPositions(i)))
-		cands = append(cands, pdcs.ExtractAt(sc, q, pts, cfg, nil, nil)...)
+		cands = append(cands, pdcs.ExtractAt(sc, q, pts, cfg)...)
 	}
 	return cands
 }

@@ -113,7 +113,7 @@ func RunNsSweep(rc RunConfig) Figure {
 	for r := 0; r < rc.Runs; r++ {
 		seed := rc.Seed + int64(r)
 		base := BuildScenario(Params{Seed: seed})
-		cands := core.ExtractCandidates(base, rc.coreOptions())
+		cands, extractErr := core.ExtractCandidates(base, rc.coreOptions())
 		for xi, x := range xs {
 			sc := base.Clone()
 			for q := range sc.ChargerTypes {
@@ -121,6 +121,9 @@ func RunNsSweep(rc RunConfig) Figure {
 			}
 			for a, name := range rc.Algorithms {
 				if name == baselines.NameHIPO {
+					if extractErr != nil {
+						continue // a failed HIPO run counts as zero utility, as in runAlgorithm
+					}
 					sol, err := core.SelectFromCandidates(sc, cands, rc.coreOptions())
 					if err == nil {
 						series[a].Y[xi] += sol.Utility / float64(rc.Runs)

@@ -33,7 +33,10 @@ func DefaultACOOptions() ACOOptions {
 // delivered power, which biases ants toward useful strategies before
 // pheromone differentiates.
 func MaxMinACO(sc *model.Scenario, opt core.Options, aco ACOOptions) ([]model.Strategy, float64, error) {
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		return nil, 0, err
+	}
 	if aco.Ants <= 0 {
 		aco = DefaultACOOptions()
 	}

@@ -59,7 +59,10 @@ func DefaultSAOptions() SAOptions {
 // slot, and a move swaps one slot for a random same-type candidate. The
 // greedy HIPO solution seeds the search.
 func MaxMinSA(sc *model.Scenario, opt core.Options, sa SAOptions) ([]model.Strategy, float64, error) {
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		return nil, 0, err
+	}
 	sol, err := core.SelectFromCandidates(sc, cands, opt)
 	if err != nil {
 		return nil, 0, err

@@ -16,34 +16,32 @@
 //     depends only on geometry within d_max of the position, and the cold
 //     Extract is exactly "sweep positions in order, reduce, dominance-filter".
 //
-// A Session therefore keeps, per charger type, a discretize.TaskCache of
-// every task's parts and a pdcs.Memo: a pointer-free store of per-position
-// sweep outputs. A mutation drops the parts that read the mutated device —
-// its own task, its pairs, and the event samples of the devices within
-// 2·d_max + pad of its old or new position — every part on an obstacle
-// insert, and the sweeps within d_max + pad of the change. Solving hands
-// the caches to the cold path's own drivers — discretize's
-// Generator.Positions and pdcs.ExtractAt, which recompute exactly the
-// missing parts and entries and reassemble in cold order — and selects
-// through core.SelectWith, so every incremental solve is bit-for-bit
-// identical to core.Solve on the mutated scenario. Only the positions the
-// store does not hold go through discretize's FilterUseful, because a held
-// position is certified useful (see pdcs.Memo), and each solve ends one
-// store generation: positions the solve did not use drop out. The parity
-// tests in this package (TestParityAcrossMutations runs up to 200 obstacles
-// × 200 devices) and the identity wall in internal/pdcs enforce exactly
-// that, not an approximate agreement.
+// A Session therefore keeps, per charger type, a pdcs.Store: a
+// discretize.TaskCache of every task's parts and a pdcs.Memo, a
+// pointer-free store of per-position sweep outputs. A mutation drops the
+// parts that read the mutated device — its own task, its pairs, and the
+// event samples of the devices within 2·d_max + pad of its old or new
+// position — every part on an obstacle insert, and the sweeps within
+// d_max + pad of the change. Solving runs each type's Store.Extract, the
+// cold pipeline of pdcs.Extract with the store standing in for the parts
+// and sweeps it holds (pdcs owns that protocol and its usefulness
+// certificate), and selects through core.SelectWith, so every incremental
+// solve is bit-for-bit identical to core.Solve on the mutated scenario,
+// and traced like one. The parity tests in this package
+// (TestParityAcrossMutations runs up to 200 obstacles × 200 devices) and
+// the identity wall in internal/pdcs enforce exactly that, not an
+// approximate agreement.
 //
 // The paper discretizes and extracts each charger type on its own and
 // joins the types only in selection, so Solve runs the per-type pipelines
-// (positions → pdcs.ExtractAt → Memo.End) concurrently on a pool of
-// Options.Workers goroutines (0 = GOMAXPROCS); each pipeline keeps its own
-// inner pools of Workers goroutines for task generation, the usefulness
-// filter and the sweep, so a solve runs at most Workers² goroutines. The
-// pipelines share only the read-only scenario, its visibility index and
-// their own per-type caches, and the results are joined in type order, so
-// placements, Stats and store contents do not depend on Workers. A cold
-// core.Solve keeps its types sequential (see core.Options.Workers).
+// concurrently on a pool of Options.Workers goroutines (0 = GOMAXPROCS);
+// each pipeline keeps its own inner pools of Workers goroutines for task
+// generation, the usefulness filter and the sweep, so a solve runs at most
+// Workers² goroutines. The pipelines share only the read-only scenario,
+// its visibility index and their own per-type stores, and the results are
+// joined in type order, so placements, Stats and store contents do not
+// depend on Workers. A cold core.Solve keeps its types sequential (see
+// core.Options.Workers).
 //
 // Selection is warm-started: round-0 singleton gains are content-addressed
 // by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
@@ -58,7 +56,6 @@ import (
 	"runtime"
 
 	"hipo/internal/core"
-	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
@@ -131,22 +128,14 @@ type Stats struct {
 	GainsCold       int // round-0 gains recomputed
 }
 
-// typeState is the per-charger-type cache.
-type typeState struct {
-	// tasks holds the (not deduplicated) position workload of every
-	// discretize task, part by part.
-	tasks *discretize.TaskCache
-	// sweep holds the Algorithm 1 outputs of the positions of the last
-	// solve that no mutation has reached since.
-	sweep pdcs.Memo
-}
-
 // Session incrementally re-solves one scenario under a mutation stream.
 // Not safe for concurrent use.
 type Session struct {
-	sc    *model.Scenario
-	opt   core.Options
-	types []*typeState
+	sc  *model.Scenario
+	opt core.Options
+	// types[q] holds charger type q's discretize task parts and the sweeps
+	// of the last solve's positions that no mutation has reached since.
+	types []*pdcs.Store
 
 	// gains content-addresses round-0 singleton gains by coverage list;
 	// gainsOK is false whenever reuse would not be bit-exact (device count
@@ -181,13 +170,10 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 		return nil, fmt.Errorf("incremental: invalid scenario: %w", err)
 	}
 	opt.Ctx = nil // ignored, as documented: selection must not observe it
-	s := &Session{sc: sc.Clone(), opt: opt}
-	if !opt.BruteForceVisibility {
-		s.sc = visindex.Ensure(s.sc)
-	}
-	s.types = make([]*typeState, len(s.sc.ChargerTypes))
+	s := &Session{sc: visindex.Ensure(sc.Clone()), opt: opt}
+	s.types = make([]*pdcs.Store, len(s.sc.ChargerTypes))
 	for q := range s.types {
-		s.types[q] = &typeState{tasks: discretize.NewTaskCache(len(s.sc.Devices))}
+		s.types[q] = pdcs.NewStore(len(s.sc.Devices))
 	}
 	return s, nil
 }
@@ -199,10 +185,10 @@ func (s *Session) Scenario() *model.Scenario { return s.sc.Clone() }
 func (s *Session) Stats() Stats {
 	st := s.stats
 	for _, ts := range s.types {
-		ct := ts.tasks.Stats()
+		ct := ts.Tasks.Stats()
 		st.TasksRecomputed += ct.TasksRegenerated
 		st.TasksReused += ct.TasksReused
-		hits, stores := ts.sweep.Counts()
+		hits, stores := ts.Sweep.Counts()
 		st.SweepsReused += hits
 		st.SweepsComputed += stores
 	}
@@ -231,7 +217,7 @@ func (s *Session) applyOne(m Mutation) error {
 		}
 		s.sc.Devices = append(s.sc.Devices, m.Device)
 		for _, ts := range s.types {
-			ts.tasks.AddTask()
+			ts.Tasks.AddTask()
 		}
 		s.invalidateAround(m.Device.Pos, m.Device.Pos)
 		s.gains, s.gainsOK = nil, false
@@ -244,14 +230,14 @@ func (s *Session) applyOne(m Mutation) error {
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices = append(s.sc.Devices[:m.Index], s.sc.Devices[m.Index+1:]...)
 		for _, ts := range s.types {
-			ts.tasks.RemoveTask(m.Index)
+			ts.Tasks.RemoveTask(m.Index)
 		}
 		// Sweeps surviving the invalidation are > d_max from the removed
 		// device, so it never appears in their Covers; later device indices
 		// shift down.
 		s.invalidateAround(old, old)
 		for _, ts := range s.types {
-			ts.sweep.RemoveDevice(m.Index)
+			ts.Sweep.RemoveDevice(m.Index)
 		}
 		s.gains, s.gainsOK = nil, false
 		return nil
@@ -268,7 +254,7 @@ func (s *Session) applyOne(m Mutation) error {
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices[m.Index] = d
 		for _, ts := range s.types {
-			ts.tasks.DropDevice(m.Index)
+			ts.Tasks.DropDevice(m.Index)
 		}
 		s.invalidateAround(old, d.Pos)
 		return nil
@@ -288,19 +274,17 @@ func (s *Session) applyOne(m Mutation) error {
 			}
 		}
 		s.sc.Obstacles = append(s.sc.Obstacles, m.Obstacle)
-		if !s.opt.BruteForceVisibility {
-			// Ensure detects the obstacle-set change by hash and rebuilds the
-			// index on a clone.
-			s.sc = visindex.Ensure(s.sc)
-		}
+		// Ensure detects the obstacle-set change by hash and rebuilds the
+		// index on a clone.
+		s.sc = visindex.Ensure(s.sc)
 		// Event angles and hole rays scan the full obstacle set, so every
 		// part of every task is stale; sweeps depend on obstacles only
 		// within d_max of the position.
 		lo, hi := bbox(m.Obstacle.Shape.Vertices)
 		for q, ts := range s.types {
-			ts.tasks.DropAll()
+			ts.Tasks.DropAll()
 			rs := s.sc.ChargerTypes[q].DMax + invPad
-			ts.sweep.DropIf(func(p geom.Vec) bool { return distToBox(p, lo, hi) <= rs })
+			ts.Sweep.DropIf(func(p geom.Vec) bool { return distToBox(p, lo, hi) <= rs })
 		}
 		return nil
 
@@ -343,11 +327,11 @@ func (s *Session) invalidateAround(a, b geom.Vec) {
 		rt := 2*ct.DMax + invPad
 		for i, d := range s.sc.Devices {
 			if d.Pos.Dist(a) <= rt || d.Pos.Dist(b) <= rt {
-				ts.tasks.DropEventSamples(i)
+				ts.Tasks.DropEventSamples(i)
 			}
 		}
 		rs := ct.DMax + invPad
-		ts.sweep.DropIf(func(p geom.Vec) bool { return p.Dist(a) <= rs || p.Dist(b) <= rs })
+		ts.Sweep.DropIf(func(p geom.Vec) bool { return p.Dist(a) <= rs || p.Dist(b) <= rs })
 	}
 }
 
@@ -375,33 +359,23 @@ func (s *Session) Solve() (*core.Solution, error) {
 		s.stats.FastPath++
 		return s.prev, nil
 	}
-	dcfg := s.discretizeConfig()
-	pcfg := pdcs.Config{
-		Eps1:                 dcfg.Eps1,
-		Workers:              dcfg.Workers,
-		BruteForceVisibility: dcfg.BruteForceVisibility,
-		Tracer:               dcfg.Tracer,
+	cfg := pdcs.Config{Eps1: s.opt.Eps1(), Workers: s.opt.Workers, Tracer: s.opt.Tracer}
+	// The index outlives device moves; keep its viewpoint memos to the
+	// devices as they stand.
+	pts := make([]geom.Vec, len(s.sc.Devices))
+	for i, d := range s.sc.Devices {
+		pts[i] = d.Pos
 	}
-	if ix, ok := s.sc.AttachedVisibilityIndex().(*visindex.Index); ok {
-		// The index outlives device moves; keep its viewpoint memos to the
-		// devices as they stand.
-		pts := make([]geom.Vec, len(s.sc.Devices))
-		for i, d := range s.sc.Devices {
-			pts[i] = d.Pos
-		}
-		ix.RetainViewpoints(pts)
-	}
+	s.sc.AttachedVisibilityIndex().(*visindex.Index).RetainViewpoints(pts)
 	workers := s.opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	flushMemoStats := visindex.TraceMemoStats(s.sc, s.opt.Tracer)
 	cands := schedule.RunPool(len(s.types), workers, func(q int) []pdcs.Candidate {
-		ts := s.types[q]
-		positions, held := s.positions(q, dcfg)
-		out := pdcs.ExtractAt(s.sc, q, positions, pcfg, &ts.sweep, held)
-		ts.sweep.End()
-		return out
+		return s.types[q].Extract(s.sc, q, cfg)
 	})
+	flushMemoStats()
 
 	sol, err := core.SelectWith(s.sc, cands, s.opt, s.greedyWarm)
 	if err != nil {
@@ -410,54 +384,6 @@ func (s *Session) Solve() (*core.Solution, error) {
 	s.prev, s.fresh = sol, true
 	s.stats.Solves++
 	return sol, nil
-}
-
-func (s *Session) discretizeConfig() discretize.Config {
-	return discretize.Config{
-		Eps1:                 s.opt.Eps1(),
-		Workers:              s.opt.Workers,
-		BruteForceVisibility: s.opt.BruteForceVisibility,
-		Tracer:               s.opt.Tracer,
-	}
-}
-
-// positions returns the candidate positions of charger type q —
-// discretize.CandidatePositions on the current scenario, bit for bit — and
-// each one's sweep-store entry (-1 = not held), for pdcs.ExtractAt. It
-// regenerates only the task parts the cache does not hold, probes the store once per position and
-// filters for usefulness only the positions the store does not hold: a
-// held position is certified useful (see pdcs.Memo).
-func (s *Session) positions(q int, dcfg discretize.Config) ([]geom.Vec, []int32) {
-	ts := s.types[q]
-	gen := discretize.NewGenerator(s.sc, q, dcfg)
-	pts := gen.Positions(ts.tasks)
-	held := make([]int32, len(pts))
-	var unheld []geom.Vec
-	for i, p := range pts {
-		if held[i] = ts.sweep.Find(p); held[i] < 0 {
-			unheld = append(unheld, p)
-		}
-	}
-	// FilterUseful keeps an in-order subsequence of unheld, and dedup left
-	// no two positions with the same bits.
-	kept := gen.FilterUseful(unheld)
-	out, k := pts[:0], 0
-	outHeld := held[:0]
-	for i, p := range pts {
-		if held[i] < 0 {
-			if k == len(kept) || !sameBits(kept[k], p) {
-				continue
-			}
-			k++
-		}
-		out = append(out, p)
-		outHeld = append(outHeld, held[i])
-	}
-	return out, outHeld
-}
-
-func sameBits(a, b geom.Vec) bool {
-	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
 // greedyWarm is the lazy greedy with round-0 gains replayed from the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hipo/internal/core"
@@ -15,6 +16,7 @@ import (
 	"hipo/internal/discretize"
 	"hipo/internal/expt"
 	"hipo/internal/geom"
+	"hipo/internal/hipotrace"
 	"hipo/internal/incremental"
 	"hipo/internal/model"
 	"hipo/internal/oracle"
@@ -376,10 +378,10 @@ func mixedTrace(rng *rand.Rand) []traceStep {
 
 // TestHeldPositionsAreUseful pins the sweep store's usefulness certificate
 // (pdcs.Memo): after a device move, a device add, the removal of the added
-// device and an obstacle insert, the positions a warm solve hands
-// pdcs.ExtractAt — held positions passed through unfiltered, the rest
-// through FilterUseful — equal, element for element, FilterUseful over the
-// full deduplicated list of a fresh generator.
+// device and an obstacle insert, the positions a warm solve sweeps — held
+// positions passed through unfiltered, the rest through FilterUseful —
+// equal, element for element, FilterUseful over the full deduplicated list
+// of a fresh generator.
 func TestHeldPositionsAreUseful(t *testing.T) {
 	dense, err := corpus.BuildModel(11, "dense-obstacles", 0)
 	if err != nil {
@@ -436,5 +438,52 @@ func TestHeldPositionsAreUseful(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmTraceMatchesCold pins that a session's solve is traced like a
+// cold one: on the same scenario, a traced priming Session.Solve (every
+// task generated, every position swept) and a traced core.Solve record the
+// same stages, per charger type, and the same funnel counters, and the
+// warm trace carries the visibility memo counters too.
+func TestWarmTraceMatchesCold(t *testing.T) {
+	sc := midScenario()
+	coldOpt, warmOpt := testOptions(), testOptions()
+	coldOpt.Tracer, warmOpt.Tracer = hipotrace.New(), hipotrace.New()
+	cold := coldSolve(t, sc, coldOpt)
+	sess, err := incremental.NewSession(sc, warmOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := sess.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "priming solve", cold, warm)
+	cb, wb := coldOpt.Tracer.Breakdown(), warmOpt.Tracer.Breakdown()
+	stages := func(b *hipotrace.Breakdown) []string {
+		var out []string
+		for _, s := range b.Stages {
+			out = append(out, s.Stage+"/"+s.Label)
+		}
+		// A session runs its charger types concurrently, so their spans
+		// may start in any order.
+		slices.Sort(out)
+		return out
+	}
+	if c, w := stages(cb), stages(wb); !slices.Equal(c, w) {
+		t.Errorf("stages: warm %v, cold %v", w, c)
+	}
+	for _, ctr := range []string{"positions_raw", "candidate_positions", "candidates_raw",
+		"candidates_kept", "los_queries", "feasibility_queries", "power_levels"} {
+		if c, w := cb.Counters[ctr], wb.Counters[ctr]; c == 0 || c != w {
+			t.Errorf("counter %s: warm %d, cold %d", ctr, w, c)
+		}
+	}
+	// Concurrent types may race to the same memo entry, which moves a
+	// lookup between hit and miss but not the number of lookups.
+	memo := func(b *hipotrace.Breakdown) int64 { return b.Counters["vis_memo_hits"] + b.Counters["vis_memo_misses"] }
+	if c, w := memo(cb), memo(wb); c == 0 || c != w {
+		t.Errorf("visibility memo lookups: warm %d, cold %d", w, c)
 	}
 }

@@ -255,12 +255,7 @@ func (sc *Scenario) FeasiblePosition(p geom.Vec) bool {
 	if sc.vis != nil {
 		return !sc.vis.PointInObstacle(p)
 	}
-	for _, o := range sc.Obstacles {
-		if o.Shape.ContainsInterior(p) {
-			return false
-		}
-	}
-	return true
+	return !BruteForce(sc.Obstacles).PointInObstacle(p)
 }
 
 // LineOfSight reports whether the open segment between a and b is free of
@@ -271,20 +266,37 @@ func (sc *Scenario) LineOfSight(a, b geom.Vec) bool {
 	if sc.vis != nil {
 		return sc.vis.LineOfSight(a, b)
 	}
-	return sc.BruteForceLineOfSight(a, b)
+	return BruteForce(sc.Obstacles).LineOfSight(a, b)
 }
 
-// BruteForceLineOfSight is LineOfSight by exhaustive obstacle scan,
-// bypassing any attached index. It is the differential reference for the
-// spatial index and the baseline arm of the visibility benchmarks.
-func (sc *Scenario) BruteForceLineOfSight(a, b geom.Vec) bool {
+// BruteForce is the VisibilityIndex that answers by exhaustive scan over
+// its obstacles: the predicates' own fallback without an attached index,
+// and the differential reference for the spatial index and the baseline
+// arm of the visibility benchmarks. Attached to a scenario, it is the
+// brute-force arm of the solver's differential tests, because the solver
+// keeps an attached index it does not own (visindex.Ensure) instead of
+// building the spatial one.
+type BruteForce []Obstacle
+
+// LineOfSight reports whether the open segment a–b is free of obstacles.
+func (bf BruteForce) LineOfSight(a, b geom.Vec) bool {
 	s := geom.Seg(a, b)
-	for _, o := range sc.Obstacles {
+	for _, o := range bf {
 		if o.Shape.BlocksSegment(s) {
 			return false
 		}
 	}
 	return true
+}
+
+// PointInObstacle reports whether p lies strictly inside any obstacle.
+func (bf BruteForce) PointInObstacle(p geom.Vec) bool {
+	for _, o := range bf {
+		if o.Shape.ContainsInterior(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy of the scenario. Sweeping experiments mutate

@@ -158,7 +158,10 @@ func enumerate(ids []int, k int, repeat bool) [][]int {
 // with the instance and flattened candidates so callers can cross-check the
 // greedy on identical ground.
 func OptimalValue(sc *model.Scenario, opt core.Options, maxEvals int) (Result, *submodular.Instance, error) {
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		return Result{}, nil, err
+	}
 	inst, _ := core.BuildInstance(sc, cands, opt)
 	res, err := Exhaustive(inst, maxEvals)
 	return res, inst, err

@@ -206,7 +206,10 @@ func TestSolveMatchesInstanceGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := core.ExtractCandidates(sc, opt)
+	cands, err := core.ExtractCandidates(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inst, _ := core.BuildInstance(sc, cands, opt)
 	greedy := submodular.GreedyLazy(inst)
 	if math.Abs(sol.ApproxValue-greedy.Value) > 1e-12 {
@@ -248,20 +251,23 @@ func TestIndexedVsBruteForcePlacement(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			opt := in.opt
-			solve := func(arm string) *core.Solution {
+			solve := func(arm string, sc *model.Scenario) *core.Solution {
 				t.Helper()
-				sol, err := core.Solve(in.sc, opt)
+				sol, err := core.Solve(sc, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", arm, err)
 				}
 				return sol
 			}
-			opt.BruteForceVisibility = true
-			brute := solve("brute force")
-			opt.BruteForceVisibility = false
-			indexed := solve("indexed")
+			// The solver keeps an attached index it does not own, so
+			// model.BruteForce answers every occlusion query of this arm by
+			// exhaustive scan.
+			bruteSc := in.sc.Clone()
+			bruteSc.AttachVisibilityIndex(model.BruteForce(bruteSc.Obstacles))
+			brute := solve("brute force", bruteSc)
+			indexed := solve("indexed", in.sc)
 			opt.Tracer = hipotrace.New()
-			traced := solve("traced")
+			traced := solve("traced", in.sc)
 
 			for _, pair := range []struct {
 				arm       string

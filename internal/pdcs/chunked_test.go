@@ -114,7 +114,7 @@ func TestChunkedReduceMatchesWholeStream(t *testing.T) {
 		sc = fresh(sc)
 		for q := range sc.ChargerTypes {
 			positions := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: eps1})
-			stream := pdcs.ExtractAt(sc, q, positions, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true}, nil, nil)
+			stream := pdcs.ExtractAt(sc, q, positions, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true})
 			label := fmt.Sprintf("scenario %d type %d", si, q)
 			for _, k := range []int{1, 7, 256, 3000} {
 				checkChunkedReduce(t, fmt.Sprintf("%s every %d", label, k), stream, len(sc.Devices), everyCut(len(stream), k))
@@ -171,12 +171,12 @@ func TestExtractAtMemoAcrossChunks(t *testing.T) {
 				cfg := pdcs.Config{Eps1: eps1, Workers: w, SkipDominanceFilter: skip}
 				coldTr, memoTr := hipotrace.New(), hipotrace.New()
 				cfg.Tracer = coldTr
-				want := pdcs.ExtractAt(sc, q, positions, cfg, nil, nil)
+				want := pdcs.ExtractAt(sc, q, positions, cfg)
 				memo := &pdcs.Memo{}
 				cfg.Tracer = nil
-				pdcs.ExtractAt(sc, q, sub, cfg, memo, find(memo, sub))
+				pdcs.ExtractAtMemo(sc, q, sub, cfg, memo, find(memo, sub))
 				cfg.Tracer = memoTr
-				got := pdcs.ExtractAt(sc, q, positions, cfg, memo, find(memo, positions))
+				got := pdcs.ExtractAtMemo(sc, q, positions, cfg, memo, find(memo, positions))
 				label := fmt.Sprintf("type %d workers %d skip %v", q, w, skip)
 				if !candidatesBitIdentical([][]pdcs.Candidate{want}, [][]pdcs.Candidate{got}) {
 					t.Fatalf("%s: memo run diverged from the cold run", label)
@@ -206,12 +206,12 @@ func TestExtractAtAllocatesLessThanRawStream(t *testing.T) {
 	for q := range sc.ChargerTypes {
 		positions := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: eps1})
 		cfg := pdcs.Config{Eps1: eps1, Workers: 1}
-		pdcs.ExtractAt(sc, q, positions, cfg, nil, nil) // builds the certificates
+		pdcs.ExtractAt(sc, q, positions, cfg) // builds the certificates
 		tr := hipotrace.New()
 		cfg.Tracer = tr
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		pdcs.ExtractAt(sc, q, positions, cfg, nil, nil)
+		pdcs.ExtractAt(sc, q, positions, cfg)
 		runtime.ReadMemStats(&after)
 		alloc += after.TotalAlloc - before.TotalAlloc
 		raw += uint64(tr.Breakdown().Counters["candidates_raw"])

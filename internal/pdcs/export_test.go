@@ -1,8 +1,25 @@
 package pdcs
 
-// Test hooks for the stream reducer's differentials (reduce_test.go,
-// chunked_test.go), which import internal/expt and so cannot live in this
-// package.
+import (
+	"hipo/internal/geom"
+	"hipo/internal/model"
+	"hipo/internal/visindex"
+)
+
+// Test hooks for the stream reducer's and the sweep store's differentials
+// (reduce_test.go, chunked_test.go, memo_test.go), which import
+// internal/expt and so cannot live in this package.
+
+// ExtractAtMemo is ExtractAt with a sweep store (extractAt), and Find and
+// End are the store's probe and generation end: the memo differentials
+// drive the protocol Store.Extract runs, over position lists of their own.
+func ExtractAtMemo(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo, held []int32) []Candidate {
+	return extractAt(visindex.Ensure(sc), q, positions, cfg, memo, held)
+}
+
+func (m *Memo) Find(p geom.Vec) int32 { return m.find(p) }
+
+func (m *Memo) End() { m.end() }
 
 // mapDups is the map[uint64][]Candidate index rule 1 used before dupTable:
 // the reference the flat table is checked against.

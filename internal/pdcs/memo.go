@@ -4,14 +4,76 @@ import (
 	"math"
 	"math/bits"
 
+	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/visindex"
 )
 
+// Store is one charger type's warm-solve cache: the discretize task parts
+// (Tasks) and the per-position sweep outputs (Sweep) that Store.Extract
+// reads and refills. internal/incremental keeps one per charger type for a
+// session's lifetime and drops what each scenario mutation reaches, through
+// the two caches' own methods.
+type Store struct {
+	Tasks *discretize.TaskCache
+	Sweep Memo
+}
+
+// NewStore returns an empty store for a scenario of n devices.
+func NewStore(n int) *Store { return &Store{Tasks: discretize.NewTaskCache(n)} }
+
+// positions returns gen's candidate positions — those of a fresh
+// generator's FilterUseful(Positions(nil)), bit for bit — and each one's
+// sweep-store entry (-1 = not held), for extractAt. It regenerates only
+// the task parts st.Tasks lacks, probes the sweep store once per position
+// and filters for usefulness only the positions it does not hold.
+func (st *Store) positions(gen *discretize.Generator) ([]geom.Vec, []int32) {
+	pts := gen.Positions(st.Tasks)
+	held := make([]int32, len(pts))
+	var unheld []geom.Vec
+	for i, p := range pts {
+		if held[i] = st.Sweep.find(p); held[i] < 0 {
+			unheld = append(unheld, p)
+		}
+	}
+	// FilterUseful keeps an in-order subsequence of unheld, and dedup left
+	// no two positions with the same bits.
+	kept := gen.FilterUseful(unheld)
+	out, k := pts[:0], 0
+	outHeld := held[:0]
+	for i, p := range pts {
+		if held[i] < 0 {
+			if k == len(kept) || !sameBits(kept[k], p) {
+				continue
+			}
+			k++
+		}
+		out = append(out, p)
+		outHeld = append(outHeld, held[i])
+	}
+	return out, outHeld
+}
+
+// Positions returns the positions the next Extract of charger type q on
+// sc hands the sweep, by the same code path: it regenerates the task parts
+// st.Tasks lacks, as that Extract would, and marks no sweep entry. It lets
+// tests compare them with a fresh generator's, element for element.
+func (st *Store) Positions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
+	gen := discretize.NewGenerator(visindex.Ensure(sc), q, discretize.Config{Eps1: cfg.Eps1, Workers: cfg.Workers})
+	pts, _ := st.positions(gen)
+	return pts
+}
+
+func sameBits(a, b geom.Vec) bool {
+	ax, ay := posBits(a)
+	bx, by := posBits(b)
+	return ax == bx && ay == by
+}
+
 // Memo is the pointer-free per-position sweep store of one charger type:
-// it lends ExtractAt the Algorithm 1 outputs of positions swept by earlier
-// calls. internal/incremental keeps one per charger type for a session's
-// lifetime. The zero value is an empty store.
+// it lends extractAt the Algorithm 1 outputs of positions swept by earlier
+// calls. The zero value is an empty store.
 //
 // Layout. entries is a dense array of held positions, each naming a run of
 // recs; slots is an open-addressing index over the position bits (linear
@@ -20,7 +82,7 @@ import (
 // chunks that are never reallocated. None of the bulk arrays has a pointer
 // in its element type (TestMemoIsPointerFree), so the garbage collector has
 // nothing to scan, and Covers carved from a chunk stay valid while later
-// stores of the same ExtractAt call open new chunks.
+// stores of the same extractAt call open new chunks.
 //
 // Correctness. A position's sweep output is a pure function of the
 // scenario geometry within d_max of it, the charger type, ε₁ and the
@@ -28,34 +90,34 @@ import (
 // could reach and renumbers covers when a device is removed (RemoveDevice)
 // reproduces a fresh extraction bit for bit.
 //
-// Probing. The caller probes each position once (Find) and hands the
-// entries to ExtractAt, which serves them without probing again.
+// Probing. Store.positions probes each position once (find) and hands
+// the entries to extractAt, which serves them without probing again.
 //
-// Liveness. ExtractAt marks every entry it serves or stores. End drops the
-// entries no call marked since the previous End and compacts the store in
-// place once dropped records exceed half the live ones, so after End the
+// Liveness. extractAt marks every entry it serves or stores. end drops the
+// entries no call marked since the previous end and compacts the store in
+// place once dropped records exceed half the live ones, so after end the
 // held records (and entries) never exceed 1.5× the live ones.
 //
-// Usefulness certificate: held ⇒ useful. internal/incremental hands
-// ExtractAt only positions that passed discretize's FilterUseful or were
-// held already, so by induction every entry was useful when stored. The
-// verdict is "some device lies within [d_min − geom.Eps, d_max + geom.Eps]
-// of the position": it reads only the positions of the devices within
-// d_max + prunePad, through an exact distance gate, and no obstacle,
-// orientation, device type or device index. Every device mutation (add,
-// remove, move) drops the entries within d_max + invPad (1e-3, beyond the
-// 1e-9 gate) of the device's old and new positions, so every surviving
-// entry sees the same devices within reach and keeps its verdict; obstacle
-// inserts and End only ever drop entries. Hence a held position is useful
-// at every solve, and only the positions the store does not hold need the
-// FilterUseful test.
+// Usefulness certificate: held ⇒ useful. Store.Extract stores only
+// positions that passed discretize's FilterUseful or were held already,
+// so by induction every entry was useful when stored. The verdict is "some
+// device lies within [d_min − geom.Eps, d_max + geom.Eps] of the
+// position": it reads only the positions of the devices within d_max +
+// prunePad, through an exact distance gate, and no obstacle, orientation,
+// device type or device index. internal/incremental drops, on every device
+// mutation (add, remove, move), the entries within d_max + invPad (1e-3,
+// beyond the 1e-9 gate) of the device's old and new positions, so every
+// surviving entry sees the same devices within reach and keeps its
+// verdict; obstacle inserts and end only ever drop entries. Hence a held
+// position is useful at every solve, and Store.positions runs the
+// FilterUseful test on the unheld positions only.
 type Memo struct {
 	slots   []int32
 	shift   uint // 64 − log₂ len(slots)
 	used    int  // non-empty slots
 	entries []memoEntry
 	// marked has bit e set when entry e was served or stored since the
-	// last End.
+	// last end.
 	marked []uint64
 	recs   []memoRec
 	// chunks[c][:len] is the filled prefix of arena chunk c.
@@ -113,10 +175,10 @@ func (m *Memo) slot(x, y uint64) (s uint64, e int32) {
 	}
 }
 
-// Find returns p's live entry, or -1: the probe a caller makes once per
-// position and hands ExtractAt. Entry indices stay valid until the next
-// End.
-func (m *Memo) Find(p geom.Vec) int32 {
+// find returns p's live entry, or -1: the probe Store.positions makes once
+// per position and hands extractAt. Entry indices stay valid until the
+// next end.
+func (m *Memo) find(p geom.Vec) int32 {
 	if m.liveEnt == 0 {
 		return -1
 	}
@@ -131,11 +193,11 @@ func (m *Memo) Find(p geom.Vec) int32 {
 // Len returns the number of held positions.
 func (m *Memo) Len() int { return m.liveEnt }
 
-// Counts returns how many positions ExtractAt has served from the store
+// Counts returns how many positions extractAt has served from the store
 // (hits) and stored into it over the store's lifetime.
 func (m *Memo) Counts() (hits, stores int) { return m.hits, m.stores }
 
-// serve counts and marks entry e, which ExtractAt is about to serve.
+// serve counts and marks entry e, which extractAt is about to serve.
 func (m *Memo) serve(e int32) {
 	m.hits++
 	m.mark(e)
@@ -238,10 +300,10 @@ func (m *Memo) RemoveDevice(j int) {
 	}
 }
 
-// End closes a generation: it drops the entries no ExtractAt call served
-// or stored since the previous End and compacts the store once dropped
+// end closes a generation: it drops the entries no extractAt call served
+// or stored since the previous end and compacts the store once dropped
 // records (or entries) exceed half the live ones.
-func (m *Memo) End() {
+func (m *Memo) end() {
 	for e := range m.entries {
 		if m.marked[e/64]&(1<<(uint(e)%64)) == 0 {
 			m.drop(int32(e))

@@ -55,7 +55,7 @@ func TestMemoIsPointerFree(t *testing.T) {
 }
 
 // memoModel is the reference: position bits → candidates, with the
-// positions marked since the last End.
+// positions marked since the last end.
 type memoModel struct {
 	held   map[[2]uint64][]Candidate
 	marked map[[2]uint64]bool
@@ -68,8 +68,8 @@ func keyVec(k [2]uint64) geom.Vec {
 }
 
 // TestMemoMatchesMapModel drives the store and the model through random
-// insert, probe, DropIf, RemoveDevice and End cycles and compares their
-// contents after every operation. After every End the held records and
+// insert, probe, DropIf, RemoveDevice and end cycles and compares their
+// contents after every operation. After every end the held records and
 // entries must stay within 2× the live ones.
 func TestMemoMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -106,13 +106,13 @@ func TestMemoMatchesMapModel(t *testing.T) {
 		}
 		for op := 0; op < 3000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 45: // a Find probe, then a serve on a hit or a store on a miss
+			case r < 45: // a find probe, then a serve on a hit or a store on a miss
 				p := pool[rng.Intn(len(pool))]
 				k := modelKey(p)
 				_, held := ref.held[k]
-				e := m.Find(p)
+				e := m.find(p)
 				if (e >= 0) != held {
-					t.Fatalf("seed %d op %d: Find of %v hit=%v, model holds=%v", seed, op, p, e >= 0, held)
+					t.Fatalf("seed %d op %d: find of %v hit=%v, model holds=%v", seed, op, p, e >= 0, held)
 				}
 				if held {
 					m.serve(e)
@@ -166,7 +166,7 @@ func TestMemoMatchesMapModel(t *testing.T) {
 					devices = 40
 				}
 			default: // end the generation
-				m.End()
+				m.end()
 				for k := range ref.held {
 					if !ref.marked[k] {
 						delete(ref.held, k)
@@ -200,7 +200,7 @@ func checkMemo(t *testing.T, m *Memo, ref memoModel, seed int64, op int) {
 	}
 	for k, want := range ref.held {
 		p := keyVec(k)
-		e := m.Find(p)
+		e := m.find(p)
 		if e < 0 {
 			t.Fatalf("seed %d op %d: %v missing from the store", seed, op, p)
 		}

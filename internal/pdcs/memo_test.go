@@ -1,4 +1,4 @@
-// Bit-identity tests for ExtractAt's memo path: per-position sweep outputs
+// Bit-identity tests for the sweep's memo path: per-position sweep outputs
 // held in a pdcs.Memo by earlier calls and reassembled in position order
 // must reproduce Extract exactly, however the positions were split across
 // calls — the caching contract internal/incremental builds on.
@@ -32,10 +32,10 @@ func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, b
 		for i := b; i < len(positions); i += batches {
 			sub = append(sub, positions[i])
 		}
-		pdcs.ExtractAt(sc, q, sub, cfg, memo, find(memo, sub))
+		pdcs.ExtractAtMemo(sc, q, sub, cfg, memo, find(memo, sub))
 	}
 	_, cached := memo.Counts()
-	out := pdcs.ExtractAt(sc, q, positions, cfg, memo, find(memo, positions))
+	out := pdcs.ExtractAtMemo(sc, q, positions, cfg, memo, find(memo, positions))
 	if hits, stores := memo.Counts(); hits != cached || stores != len(positions) {
 		t.Fatalf("memo served %d of %d cached positions and stored %d of %d", hits, cached, stores, len(positions))
 	}
@@ -46,7 +46,7 @@ func sweepReassemble(t *testing.T, sc *model.Scenario, q int, cfg pdcs.Config, b
 	return out
 }
 
-// find probes the memo once per position, as ExtractAt expects.
+// find probes the memo once per position, as extractAt expects.
 func find(memo *pdcs.Memo, positions []geom.Vec) []int32 {
 	held := make([]int32, len(positions))
 	for i, p := range positions {
@@ -57,7 +57,8 @@ func find(memo *pdcs.Memo, positions []geom.Vec) []int32 {
 
 // TestSweeperMatchesExtract pins the memo contract against Extract across
 // corpus families: identical candidates bit for bit, whether the positions
-// are swept in one call or spread over several.
+// are swept in one call or spread over several, and from Store.Extract
+// with an empty or a full store.
 func TestSweeperMatchesExtract(t *testing.T) {
 	eps1 := power.Eps1ForEps(wallEps)
 	for _, fam := range []string{"mixed-type", "clustered-devices", "dense-obstacles"} {
@@ -86,6 +87,18 @@ func testSweeperScenario(t *testing.T, sc *model.Scenario, eps1 float64) {
 			if !candidatesBitIdentical([][]pdcs.Candidate{ref}, [][]pdcs.Candidate{got}) {
 				t.Fatalf("type %d: memo reassembly (batches=%d) diverged from Extract", q, batches)
 			}
+		}
+		// The warm entry: a cold first call fills the store, and a second
+		// serves every position from it, both bit for bit Extract's.
+		st := pdcs.NewStore(len(sc.Devices))
+		for call := 0; call < 2; call++ {
+			got := st.Extract(fresh(sc), q, cfg)
+			if !candidatesBitIdentical([][]pdcs.Candidate{ref}, [][]pdcs.Candidate{got}) {
+				t.Fatalf("type %d: Store.Extract call %d diverged from Extract", q, call)
+			}
+		}
+		if hits, stores := st.Sweep.Counts(); hits != stores || hits != st.Sweep.Len() {
+			t.Fatalf("type %d: second Store.Extract served %d positions of the %d stored, %d held", q, hits, stores, st.Sweep.Len())
 		}
 	}
 }

@@ -382,21 +382,46 @@ func coversSubset(a, b []DevPower) bool {
 }
 
 // Extract runs the full PDCS extraction for charger type q: candidate
-// positions from internal/discretize, then ExtractAt over them. Results are
-// deterministic regardless of worker count.
+// positions from internal/discretize, then the Algorithm 1 sweep over
+// them. Results are deterministic regardless of worker count.
 //
 //hipo:hotpath
 func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
-	sc = cfg.ensureVisibility(sc)
+	return extract(sc, q, cfg, nil)
+}
+
+// Extract is the warm Extract: the same candidates, bit for bit, from
+// the same pipeline, with st's caches standing in for the work they hold
+// (see Store). It ends the sweep store's generation, so the positions this
+// call did not use drop out.
+//
+//hipo:hotpath
+func (st *Store) Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
+	return extract(sc, q, cfg, st)
+}
+
+// extract is the per-type pipeline of both Extracts: the visibility
+// index, then discretization under its trace span (a generator, its
+// positions and the usefulness filter), then the sweep. Without a store
+// every position is generated and filtered and none is held. With one,
+// the generator regenerates only the task parts st.Tasks lacks, each
+// position is probed in st.Sweep once, only the unheld positions are
+// filtered (a held position is certified useful, see Memo), the sweep
+// serves the held ones, and the generation ends.
+func extract(sc *model.Scenario, q int, cfg Config, st *Store) []Candidate {
+	sc = visindex.Ensure(sc)
 	endDisc := cfg.Tracer.StartStage(hipotrace.StageDiscretize, typeLabel(q))
-	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                 cfg.Eps1,
-		Workers:              cfg.Workers,
-		BruteForceVisibility: cfg.BruteForceVisibility,
-		Tracer:               cfg.Tracer,
-	})
+	gen := discretize.NewGenerator(sc, q, discretize.Config{Eps1: cfg.Eps1, Workers: cfg.Workers, Tracer: cfg.Tracer})
+	if st == nil {
+		positions := gen.FilterUseful(gen.Positions(nil))
+		endDisc()
+		return extractAt(sc, q, positions, cfg, nil, nil)
+	}
+	positions, held := st.positions(gen)
 	endDisc()
-	return ExtractAt(sc, q, positions, cfg, nil, nil)
+	out := extractAt(sc, q, positions, cfg, &st.Sweep, held)
+	st.Sweep.end()
+	return out
 }
 
 // sweepChunk is the number of positions one sweep task covers: one pooled
@@ -427,21 +452,24 @@ type chunkOut struct {
 // step 9), so the raw stream is never held whole; candidates_raw still
 // counts all of it. With cfg.SkipDominanceFilter it returns the
 // concatenated per-position outputs instead — each already free of
-// candidates dominated at its own position.
-//
-// A non-nil memo (one per charger type) serves the positions it holds
-// straight from its arena, fed to the global reducer at their stream
-// positions, and stores the fresh ones, which alone are swept: each chunk
-// stages its full output until the merge has stored it. The memo marks
-// both for its next End. held[i] is positions[i]'s entry as memo.Find
-// returned it since the last End (-1 = not held), so no position is probed
-// twice; held must be as long as positions with a memo and nil without
-// one. With a nil memo nothing is retained past the call. Returned
-// candidates own their Covers.
+// candidates dominated at its own position. Nothing is retained past the
+// call; returned candidates own their Covers.
 //
 //hipo:hotpath
-func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo, held []int32) []Candidate {
-	sc = cfg.ensureVisibility(sc)
+func ExtractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config) []Candidate {
+	return extractAt(visindex.Ensure(sc), q, positions, cfg, nil, nil)
+}
+
+// extractAt is ExtractAt with a sweep store. A non-nil memo (one per
+// charger type) serves the positions it holds straight from its arena, fed
+// to the global reducer at their stream positions, and stores the fresh
+// ones, which alone are swept: each chunk stages its full output until the
+// merge has stored it. The memo marks both for its next end. held[i] is
+// positions[i]'s entry as memo.find returned it since the last end (-1 =
+// not held), so no position is probed twice; held must be as long as
+// positions with a memo and nil without one. sc must carry its visibility
+// index already (visindex.Ensure).
+func extractAt(sc *model.Scenario, q int, positions []geom.Vec, cfg Config, memo *Memo, held []int32) []Candidate {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -571,28 +599,17 @@ func typeLabel(q int) string { return fmt.Sprintf("type-%d", q) }
 type Config struct {
 	// Eps1 is the approximation parameter ε₁ (Lemma 4.1).
 	Eps1 float64
-	// Workers bounds the goroutines sweeping candidate positions
-	// (0 = GOMAXPROCS) within one call; an incremental session runs its
-	// charger types' calls concurrently, each with this bound.
+	// Workers bounds the goroutines of each parallel pool within one call
+	// (0 = GOMAXPROCS): task generation, the usefulness filter and the
+	// position sweep. An incremental session runs its charger types' calls
+	// concurrently, each with this bound.
 	Workers int
 	// SkipDominanceFilter keeps dominated candidates (ablation).
 	SkipDominanceFilter bool
-	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
-	// scan instead of the spatial index (differential reference arm).
-	BruteForceVisibility bool
 	// Tracer, when non-nil, receives stage spans (discretize, pdcs) and the
 	// pipeline counters of internal/hipotrace. Sweep hot paths count into
 	// locals and flush per call; a nil Tracer costs nothing.
 	Tracer *hipotrace.Tracer
-}
-
-// ensureVisibility attaches the spatial visibility index for this
-// extraction unless brute force was requested or one is already present.
-func (cfg Config) ensureVisibility(sc *model.Scenario) *model.Scenario {
-	if cfg.BruteForceVisibility {
-		return sc
-	}
-	return visindex.Ensure(sc)
 }
 
 // FilterDominated removes candidates that are dominated by another

@@ -8,6 +8,7 @@ import (
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/power"
+	"hipo/internal/visindex"
 )
 
 func ringScenario() *model.Scenario {
@@ -34,15 +35,23 @@ func ringScenario() *model.Scenario {
 	return sc
 }
 
+// bruteForce returns a clone of sc with model.BruteForce attached:
+// extraction keeps that index (visindex.Ensure keeps a foreign one), so
+// every occlusion query takes the exhaustive scan, the reference arm.
+func bruteForce(sc *model.Scenario) *model.Scenario {
+	out := sc.Clone()
+	out.AttachVisibilityIndex(model.BruteForce(out.Obstacles))
+	return out
+}
+
 // eligibleAt runs the production eligibility scan at a single point.
 func eligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
-	cfg := Config{Eps1: eps1}
-	return newEligibleCache(cfg.ensureVisibility(sc), q, cfg).at(p, nil)
+	return newEligibleCache(visindex.Ensure(sc), q, Config{Eps1: eps1}).at(p, nil)
 }
 
 // sweepPoint runs Algorithm 1 at a single point through the sweep driver.
 func sweepPoint(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []Candidate {
-	return ExtractAt(sc, q, []geom.Vec{p}, Config{Eps1: eps1, SkipDominanceFilter: true}, nil, nil)
+	return ExtractAt(sc, q, []geom.Vec{p}, Config{Eps1: eps1, SkipDominanceFilter: true})
 }
 
 func TestEligibleAt(t *testing.T) {
@@ -118,11 +127,10 @@ func TestEligibleAtAllocationFree(t *testing.T) {
 	}{
 		{"obstacle-free", ringScenario(), false},
 		{"walled-index", walled, false},
-		{"walled-brute", walled, true},
+		{"walled-brute", bruteForce(walled), true},
 		{"obstacle-free-306-devices", crowded, false},
 	} {
-		cfg := Config{Eps1: 0.4, BruteForceVisibility: arm.brute}
-		c := newEligibleCache(cfg.ensureVisibility(arm.sc), 0, cfg)
+		c := newEligibleCache(visindex.Ensure(arm.sc), 0, Config{Eps1: 0.4})
 		var buf []eligible
 		for _, p := range probes {
 			buf = c.at(p, buf) // warm the buffer and the tile lists

@@ -202,9 +202,7 @@ func coversSubset(a, b []pdcs.DevPower) bool {
 // cfg.SkipDominanceFilter. It records pdcs.Extract's stage spans and
 // counters.
 func Extract(sc *model.Scenario, q int, cfg pdcs.Config) []pdcs.Candidate {
-	if !cfg.BruteForceVisibility {
-		sc = visindex.Ensure(sc)
-	}
+	sc = visindex.Ensure(sc)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -212,12 +210,7 @@ func Extract(sc *model.Scenario, q int, cfg pdcs.Config) []pdcs.Candidate {
 	tr := cfg.Tracer
 	label := fmt.Sprintf("type-%d", q)
 	endDisc := tr.StartStage(hipotrace.StageDiscretize, label)
-	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                 cfg.Eps1,
-		Workers:              workers,
-		BruteForceVisibility: cfg.BruteForceVisibility,
-		Tracer:               tr,
-	})
+	positions := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: cfg.Eps1, Workers: workers, Tracer: tr})
 	endDisc()
 
 	endSweep := tr.StartStage(hipotrace.StagePDCS, label)

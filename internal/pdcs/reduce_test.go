@@ -90,7 +90,7 @@ func TestStreamReducerMatchesMapIndex(t *testing.T) {
 		sc := fresh(expt.BenchScenario(seed, 100, 10))
 		for q := range sc.ChargerTypes {
 			positions := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: eps1})
-			raw := pdcs.ExtractAt(sc, q, positions, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true}, nil, nil)
+			raw := pdcs.ExtractAt(sc, q, positions, pdcs.Config{Eps1: eps1, SkipDominanceFilter: true})
 			same(fmt.Sprintf("seed %d type %d", seed, q), raw, len(sc.Devices))
 		}
 	}

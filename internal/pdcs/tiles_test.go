@@ -9,6 +9,7 @@ import (
 	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/visindex"
 )
 
 // tileTestScenario builds a 30×30 scenario with two charger types (the
@@ -116,9 +117,7 @@ func exhaustiveAt(c *eligibleCache, p geom.Vec) []eligible {
 // points just outside the tiling box.
 func tileProbes(sc *model.Scenario, q int, c *eligibleCache, cfg Config) []geom.Vec {
 	ct := sc.ChargerTypes[q]
-	probes := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1: cfg.Eps1, BruteForceVisibility: cfg.BruteForceVisibility,
-	})
+	probes := discretize.CandidatePositions(sc, q, discretize.Config{Eps1: cfg.Eps1})
 	t := &c.tiles
 	offs := []float64{-1e-12, 1e-12}
 	for ty := t.ty0; ty < t.ty0+len(t.lists)/t.nx; ty++ {
@@ -184,7 +183,7 @@ func TestTilePrefilterMatchesExhaustiveScan(t *testing.T) {
 	}{{"obstacle-free", false, false}, {"walled-index", true, false}, {"walled-brute", true, true}} {
 		t.Run(arm.name, func(t *testing.T) {
 			sc := tileTestScenario(rand.New(rand.NewSource(7)), arm.walled)
-			cfg := Config{Eps1: 0.4, BruteForceVisibility: arm.brute}
+			cfg := Config{Eps1: 0.4}
 			// Tight devices sit around lattice corners (5+8q, 5+8q) tiles
 			// from the origin, at the tile side the untouched scenario gets.
 			var tight []tightProbe
@@ -194,7 +193,10 @@ func TestTilePrefilterMatchesExhaustiveScan(t *testing.T) {
 				k := float64(5 + 8*q)
 				tight = append(tight, addTightDevices(sc, q, sizes[q], geom.V(k, k))...)
 			}
-			sc = cfg.ensureVisibility(sc)
+			if arm.brute {
+				sc = bruteForce(sc)
+			}
+			sc = visindex.Ensure(sc)
 			for q := range sc.ChargerTypes {
 				c := newEligibleCache(sc, q, cfg)
 				if c.tiles.size != sizes[q] {

@@ -469,6 +469,34 @@ func TestMaxMinPropFairBudgetedEndpoints(t *testing.T) {
 	}
 }
 
+// TestSyncTimeoutAnswers504Uncached: a synchronous solve past its
+// deadline answers 504 on every solve endpoint, budgeted included, and
+// caches nothing, so a re-submission solves afresh instead of replaying a
+// placement cut short.
+func TestSyncTimeoutAnswers504Uncached(t *testing.T) {
+	ts, s := newTestServer(t, Config{SyncTimeout: time.Nanosecond})
+	sc := testScenario()
+	for _, tc := range []struct {
+		url string
+		req SolveRequest
+	}{
+		{"/v1/solve", SolveRequest{Scenario: sc, Mode: "sync"}},
+		{"/v1/solve/maxmin", SolveRequest{Scenario: sc, Mode: "sync", Iterations: 50, Seed: 1}},
+		{"/v1/solve/propfair", SolveRequest{Scenario: sc, Mode: "sync"}},
+		{"/v1/solve/budgeted", SolveRequest{Scenario: sc, Mode: "sync", Budget: &hipo.DeploymentBudget{
+			Depot: hipo.Point{X: 0, Y: 0}, PerMeter: 1, PerRadian: 1, Budget: 25,
+		}}},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.url, tc.req)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: %d %s, want 504", tc.url, resp.StatusCode, body)
+		}
+	}
+	if _, _, size := s.cache.Stats(); size != 0 {
+		t.Errorf("timed-out solves left %d cache entries", size)
+	}
+}
+
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	resp, body := getBody(t, ts.URL+"/healthz")

@@ -46,7 +46,7 @@ func FuzzLineOfSightIndexed(f *testing.F) {
 		p := geom.V(fuzzCoord(px), fuzzCoord(py))
 		q := geom.V(fuzzCoord(qx), fuzzCoord(qy))
 
-		if got, want := ix.LineOfSight(p, q), sc.BruteForceLineOfSight(p, q); got != want {
+		if got, want := ix.LineOfSight(p, q), model.BruteForce(sc.Obstacles).LineOfSight(p, q); got != want {
 			t.Fatalf("indexed LineOfSight(%v, %v) = %v, brute force %v", p, q, got, want)
 		}
 		brute := tri.ContainsInterior(p)
@@ -55,7 +55,7 @@ func FuzzLineOfSightIndexed(f *testing.F) {
 		}
 		// The attached-index path through the scenario must match too.
 		idxSc := visindex.Ensure(sc)
-		if idxSc.LineOfSight(p, q) != sc.BruteForceLineOfSight(p, q) {
+		if idxSc.LineOfSight(p, q) != model.BruteForce(sc.Obstacles).LineOfSight(p, q) {
 			t.Fatalf("scenario with index diverges at (%v, %v)", p, q)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hipo/internal/geom"
+	"hipo/internal/model"
 )
 
 func benchQueries(seed int64, n int) []geom.Segment {
@@ -27,7 +28,7 @@ func benchmarkLOS(b *testing.B, nObs int, indexed bool) {
 		if indexed {
 			ix.LineOfSight(q.A, q.B)
 		} else {
-			sc.BruteForceLineOfSight(q.A, q.B)
+			model.BruteForce(sc.Obstacles).LineOfSight(q.A, q.B)
 		}
 	}
 }

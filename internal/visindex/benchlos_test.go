@@ -30,7 +30,7 @@ func TestLineOfSightMatchesBruteForceOnBenchScenarios(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 7919))
 		for i := 0; i < 512; i++ {
 			a, b := regionPoint(sc, rng), regionPoint(sc, rng)
-			if got, want := ix.LineOfSight(a, b), sc.BruteForceLineOfSight(a, b); got != want {
+			if got, want := ix.LineOfSight(a, b), model.BruteForce(sc.Obstacles).LineOfSight(a, b); got != want {
 				t.Fatalf("%d obstacles, %d devices, query %d %v→%v: indexed %v, brute force %v",
 					p.obstacles, len(sc.Devices), i, a, b, got, want)
 			}
@@ -77,7 +77,7 @@ func TestCertificatesMatchBruteForceOnBenchScenarios(t *testing.T) {
 				c := pts[j]
 				v := certs[j].Get().Classify(a, math.Sqrt(a.Sub(c).Len2()))
 				counts[v]++
-				if want := sc.BruteForceLineOfSight(a, c); v == visindex.Visible && !want || v == visindex.Blocked && want {
+				if want := model.BruteForce(sc.Obstacles).LineOfSight(a, c); v == visindex.Visible && !want || v == visindex.Blocked && want {
 					t.Fatalf("device %d at %v, query %v: certificate %v, brute force line of sight %v", j, c, a, v, want)
 				}
 			}

@@ -16,8 +16,8 @@ import "hipo/internal/model"
 // scenario's obstacles were mutated after attach, the old index would answer
 // LOS from the old world — Ensure detects this via the obstacle fingerprint
 // and rebuilds instead of reusing. Attached indexes of other types cannot be
-// fingerprinted and are trusted as before (tests attach purpose-built
-// fakes).
+// fingerprinted and are trusted as before: the differential tests attach
+// model.BruteForce to run the solver's exhaustive-scan reference arm.
 //
 //hipo:hotpath
 func Ensure(sc *model.Scenario) *model.Scenario {

@@ -129,7 +129,7 @@ func FuzzBatchedLOS(f *testing.F) {
 			reach = 1
 		}
 
-		want := sc.BruteForceLineOfSight(a, b)
+		want := model.BruteForce(sc.Obstacles).LineOfSight(a, b)
 		if got := ix.LineOfSight(a, b); got != want {
 			t.Fatalf("indexed walk disagrees with brute force: got %v want %v (a=%v b=%v)", got, want, a, b)
 		}

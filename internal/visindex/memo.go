@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"hipo/internal/geom"
+	"hipo/internal/hipotrace"
+	"hipo/internal/model"
 	"hipo/internal/visibility"
 )
 
@@ -32,10 +34,26 @@ type memoStore struct {
 }
 
 // MemoStats returns the cumulative hit and miss counts of the per-viewpoint
-// memos since the index was built. Solve tracing (internal/hipotrace) reads
-// it before and after a pipeline stage and records the deltas.
+// memos since the index was built.
 func (ix *Index) MemoStats() (hits, misses int64) {
 	return ix.memo.hits.Load(), ix.memo.misses.Load()
+}
+
+// TraceMemoStats captures the memo hit and miss counts of sc's attached
+// index and returns a flush recording the deltas accrued in between as the
+// tracer's vis_memo_hits and vis_memo_misses; a no-op without a tracer or
+// index. Cold and warm solves wrap their extraction in it.
+func TraceMemoStats(sc *model.Scenario, tr *hipotrace.Tracer) func() {
+	ix, ok := sc.AttachedVisibilityIndex().(*Index)
+	if !tr.Enabled() || !ok {
+		return func() {}
+	}
+	hits0, misses0 := ix.MemoStats()
+	return func() {
+		hits, misses := ix.MemoStats()
+		tr.Add(hipotrace.CtrVisMemoHits, hits-hits0)
+		tr.Add(hipotrace.CtrVisMemoMisses, misses-misses0)
+	}
 }
 
 // posKey is a viewpoint quantized to its exact bit pattern.

@@ -37,7 +37,7 @@ func TestEnsureRebuildsAfterObstacleMutation(t *testing.T) {
 		probe := rand.New(rand.NewSource(99))
 		for i := 0; i < 2000; i++ {
 			a, b := randomPoint(probe), randomPoint(probe)
-			if gi, bf := got.LineOfSight(a, b), got.BruteForceLineOfSight(a, b); gi != bf {
+			if gi, bf := got.LineOfSight(a, b), model.BruteForce(got.Obstacles).LineOfSight(a, b); gi != bf {
 				t.Fatalf("%s: LineOfSight(%v, %v) = %v, brute force %v", stage, a, b, gi, bf)
 			}
 		}

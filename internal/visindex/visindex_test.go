@@ -75,7 +75,7 @@ func TestLineOfSightDifferential(t *testing.T) {
 				b = randomPoint(rng)
 			}
 			got := ix.LineOfSight(a, b)
-			want := sc.BruteForceLineOfSight(a, b)
+			want := model.BruteForce(sc.Obstacles).LineOfSight(a, b)
 			if got != want {
 				mismatches++
 				if mismatches <= 3 {
@@ -184,7 +184,7 @@ func TestMemoizedViewsMatchBruteForce(t *testing.T) {
 		}
 
 		gotH := ix.HoleRays(p, 10)
-		wantH := visibility.HoleRaysOf(p, 10, sc.Obstacles, sc.BruteForceLineOfSight)
+		wantH := visibility.HoleRaysOf(p, 10, sc.Obstacles, model.BruteForce(sc.Obstacles).LineOfSight)
 		if len(gotH) != len(wantH) {
 			t.Fatalf("HoleRays(%v): %d rays, want %d", p, len(gotH), len(wantH))
 		}
@@ -216,7 +216,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				a, b := randomPoint(rng), randomPoint(rng)
 				got := ix.LineOfSight(a, b)
-				if got != sc.BruteForceLineOfSight(a, b) {
+				if got != model.BruteForce(sc.Obstacles).LineOfSight(a, b) {
 					t.Errorf("goroutine %d: LineOfSight mismatch at (%v, %v)", g, a, b)
 					return
 				}
