@@ -218,7 +218,8 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 }
 
 // BenchmarkAblationGreedy contrasts the greedy variants on the same
-// candidate set; the plain global greedy runs through core.SelectWith.
+// candidate set; the plain global greedy, which no core.GreedyVariant
+// names, runs on core.BuildInstance's instance.
 func BenchmarkAblationGreedy(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
 	cands, err := core.ExtractCandidates(sc, core.DefaultOptions())
@@ -228,12 +229,10 @@ func BenchmarkAblationGreedy(b *testing.B) {
 	for _, v := range []struct {
 		name    string
 		variant core.GreedyVariant
-		greedy  func(*submodular.Instance, []pdcs.Candidate) submodular.Result // nil: the variant's own
+		greedy  func(*submodular.Instance) submodular.Result // nil: the variant's own
 	}{
 		{"lazy", core.GreedyLazy, nil},
-		{"global", core.GreedyLazy, func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
-			return submodular.GreedyGlobal(inst)
-		}},
+		{"global", core.GreedyLazy, submodular.GreedyGlobal},
 		{"per-type", core.GreedyPerType, nil},
 		{"continuous", core.GreedyContinuous, nil},
 	} {
@@ -241,13 +240,12 @@ func BenchmarkAblationGreedy(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Variant = v.variant
 			for i := 0; i < b.N; i++ {
-				var sol *core.Solution
-				var err error
 				if v.greedy != nil {
-					sol, err = core.SelectWith(sc, cands, opt, v.greedy)
-				} else {
-					sol, err = core.SelectFromCandidates(sc, cands, opt)
+					inst, _ := core.BuildInstance(sc, cands, opt)
+					b.ReportMetric(v.greedy(inst).Value, "approx-value")
+					continue
 				}
+				sol, err := core.SelectFromCandidates(sc, cands, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -258,9 +256,10 @@ func BenchmarkAblationGreedy(b *testing.B) {
 }
 
 // BenchmarkAblationDominance contrasts extraction with and without the
-// PDCS dominance filter: candidate count and end-to-end solve time.
+// PDCS dominance filter: candidate count and end-to-end solve time
+// (extraction of every type, then selection).
 func BenchmarkAblationDominance(b *testing.B) {
-	sc := expt.BuildScenario(expt.Params{Seed: 1})
+	sc := visindex.Ensure(expt.BuildScenario(expt.Params{Seed: 1}))
 	for _, skip := range []bool{false, true} {
 		name := "filtered"
 		if skip {
@@ -268,9 +267,9 @@ func BenchmarkAblationDominance(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opt := core.DefaultOptions()
-			opt.SkipDominanceFilter = skip
+			cfg := pdcs.Config{Eps1: opt.Eps1(), SkipDominanceFilter: skip}
 			for i := 0; i < b.N; i++ {
-				sol, err := core.Solve(sc, opt)
+				sol, err := core.SelectFromCandidates(sc, pdcs.ExtractAll(sc, cfg), opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -369,13 +368,9 @@ func BenchmarkCandidateGeneration(b *testing.B) {
 // BenchmarkGreedySelection measures lazy-greedy selection on a large
 // unfiltered candidate instance.
 func BenchmarkGreedySelection(b *testing.B) {
-	sc := expt.BuildScenario(expt.Params{Seed: 1})
+	sc := visindex.Ensure(expt.BuildScenario(expt.Params{Seed: 1}))
 	opt := core.DefaultOptions()
-	opt.SkipDominanceFilter = true
-	cands, err := core.ExtractCandidates(sc, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cands := pdcs.ExtractAll(sc, pdcs.Config{Eps1: opt.Eps1(), SkipDominanceFilter: true})
 	inst, _ := core.BuildInstance(sc, cands, opt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -99,9 +99,9 @@ type IncrementalStats struct {
 	TasksReused     int `json:"tasks_reused"`
 	SweepsComputed  int `json:"sweeps_computed"`
 	SweepsReused    int `json:"sweeps_reused"`
-	// Round-0 CELF gains replayed from the warm-start cache versus
-	// recomputed.
+	// Deprecated: selection is not warm-started; always zero.
 	GainsWarm int `json:"gains_warm"`
+	// Deprecated: selection is not warm-started; always zero.
 	GainsCold int `json:"gains_cold"`
 }
 
@@ -119,9 +119,6 @@ type Incremental struct {
 }
 
 // NewIncremental starts an incremental session on a copy of the scenario.
-// Only the default lazy greedy variant is supported (it is the one with a
-// warm-startable selection state); WithPerTypeGreedy or WithContinuousGreedy
-// options are rejected.
 func (s *Scenario) NewIncremental(opts ...Option) (*Incremental, error) {
 	sc, err := s.internalScenario()
 	if err != nil {
@@ -198,7 +195,6 @@ func (inc *Incremental) Stats() IncrementalStats {
 		Mutations: st.Mutations, Solves: st.Solves, FastPath: st.FastPath,
 		TasksRecomputed: st.TasksRecomputed, TasksReused: st.TasksReused,
 		SweepsComputed: st.SweepsComputed, SweepsReused: st.SweepsReused,
-		GainsWarm: st.GainsWarm, GainsCold: st.GainsCold,
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 	"hipo/internal/expt"
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/submodular"
+	"hipo/internal/visindex"
 )
 
 // randomObstacleScenario builds a scenario with nObs random star-shaped
@@ -352,14 +354,14 @@ func TestDominanceFilterPreservesGreedyValue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	sc := expt.BuildScenario(expt.Params{Seed: 21})
-	filtered, err := core.Solve(sc, core.DefaultOptions())
+	sc := visindex.Ensure(expt.BuildScenario(expt.Params{Seed: 21}))
+	opt := core.DefaultOptions()
+	filtered, err := core.Solve(sc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := core.DefaultOptions()
-	raw.SkipDominanceFilter = true
-	unfiltered, err := core.Solve(sc, raw)
+	raw := pdcs.ExtractAll(sc, pdcs.Config{Eps1: opt.Eps1(), SkipDominanceFilter: true})
+	unfiltered, err := core.SelectFromCandidates(sc, raw, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ type Options struct {
 	// session runs the same pipeline for its types on a pool of Workers, so
 	// it may run Workers² goroutines at once (see internal/incremental).
 	Workers int
-	// SkipDominanceFilter is an ablation switch forwarded to PDCS
-	// extraction.
-	SkipDominanceFilter bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
 	// variant of Section 8.3.
@@ -144,12 +141,7 @@ func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 // it between types with an error wrapping the context's.
 func ExtractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, error) {
 	sc = visindex.Ensure(sc)
-	cfg := pdcs.Config{
-		Eps1:                opt.Eps1(),
-		Workers:             opt.Workers,
-		SkipDominanceFilter: opt.SkipDominanceFilter,
-		Tracer:              opt.Tracer,
-	}
+	cfg := pdcs.Config{Eps1: opt.Eps1(), Workers: opt.Workers, Tracer: opt.Tracer}
 	defer visindex.TraceMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is
 	// already parallel. Unlike a warm session, a cold solve keeps them
@@ -179,34 +171,27 @@ func (v GreedyVariant) label() string {
 }
 
 // SelectFromCandidates runs the greedy strategy selection (Section 4.3)
-// over pre-extracted candidates.
+// over pre-extracted candidates with the variant opt.Variant names. It is
+// the one selection path: core.Solve and incremental sessions both end in
+// it.
 func SelectFromCandidates(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options) (*Solution, error) {
-	return SelectWith(sc, cands, opt, func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
-		switch opt.Variant {
-		case GreedyPerType:
-			return submodular.GreedyPerType(inst)
-		case GreedyContinuous:
-			// The polytope formulation needs distinct elements.
-			inst.AllowRepeat = false
-			return submodular.ContinuousGreedy(inst, submodular.DefaultContinuousOptions())
-		default:
-			return submodular.GreedyLazy(inst)
-		}
-	})
-}
-
-// SelectWith is SelectFromCandidates with the greedy supplied by the
-// caller: greedy receives the traced instance BuildInstance produced and
-// the flat candidate list its elements index, and its result becomes the
-// Solution. Warm-started selection (internal/incremental) runs through it.
-func SelectWith(sc *model.Scenario, cands [][]pdcs.Candidate, opt Options, greedy func(*submodular.Instance, []pdcs.Candidate) submodular.Result) (*Solution, error) {
 	if err := opt.canceled(); err != nil {
 		return nil, fmt.Errorf("core: solve canceled: %w", err)
 	}
 	inst, flat := BuildInstance(sc, cands, opt)
 	inst.Tracer = opt.Tracer
 	endGreedy := opt.Tracer.StartStage(hipotrace.StageGreedy, opt.Variant.label())
-	res := greedy(inst, flat)
+	var res submodular.Result
+	switch opt.Variant {
+	case GreedyPerType:
+		res = submodular.GreedyPerType(inst)
+	case GreedyContinuous:
+		// The polytope formulation needs distinct elements.
+		inst.AllowRepeat = false
+		res = submodular.ContinuousGreedy(inst, submodular.DefaultContinuousOptions())
+	default:
+		res = submodular.GreedyLazy(inst)
+	}
 	endGreedy()
 	sol := &Solution{ApproxValue: res.Value, Candidates: make([]int, len(cands))}
 	for q := range cands {

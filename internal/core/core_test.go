@@ -8,7 +8,6 @@ import (
 
 	"hipo/internal/geom"
 	"hipo/internal/model"
-	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/submodular"
 )
@@ -101,13 +100,8 @@ func TestVariantsConsistent(t *testing.T) {
 	}
 	lazy, perType := value(GreedyLazy), value(GreedyPerType)
 	// The plain global greedy is the reference the lazy one must match.
-	sol, err := SelectWith(sc, cands, DefaultOptions(), func(inst *submodular.Instance, _ []pdcs.Candidate) submodular.Result {
-		return submodular.GreedyGlobal(inst)
-	})
-	if err != nil {
-		t.Fatalf("global greedy: %v", err)
-	}
-	global := sol.ApproxValue
+	inst, _ := BuildInstance(sc, cands, DefaultOptions())
+	global := submodular.GreedyGlobal(inst).Value
 	// Lazy and global must agree exactly; per-type may differ but not by
 	// more than a factor 2 either way (both are 1/2-approximations of the
 	// same optimum).

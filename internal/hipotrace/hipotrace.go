@@ -103,10 +103,6 @@ const (
 	// and discretization's position and scratch buffers. Each reuse is a
 	// set of hot-loop allocations avoided.
 	CtrPoolReuse
-	// CtrLazyWarmHits counts CELF heap seeds taken from a warm-start prior
-	// gain table (GreedyLazyWarm) instead of being recomputed: each hit is
-	// one round-0 gain evaluation avoided on an incremental re-solve.
-	CtrLazyWarmHits
 	// CtrPositionsRaw counts positions entering discretization's dedup
 	// (every task's feasible positions, cached session tasks included):
 	// the first stage of the candidate funnel, ≥ CtrCandidatePositions.
@@ -134,7 +130,6 @@ var counterNames = [NumCounters]string{
 	CtrLOSCertified:       "los_certified",
 	CtrLOSExact:           "los_exact",
 	CtrPoolReuse:          "pool_reuse",
-	CtrLazyWarmHits:       "lazy_warm_hits",
 	CtrPositionsRaw:       "positions_raw",
 }
 

@@ -25,12 +25,12 @@
 // d_max + pad of the change. Solving runs each type's Store.Extract, the
 // cold pipeline of pdcs.Extract with the store standing in for the parts
 // and sweeps it holds (pdcs owns that protocol and its usefulness
-// certificate), and selects through core.SelectWith, so every incremental
-// solve is bit-for-bit identical to core.Solve on the mutated scenario,
-// and traced like one. The parity tests in this package
-// (TestParityAcrossMutations runs up to 200 obstacles × 200 devices) and
-// the identity wall in internal/pdcs enforce exactly that, not an
-// approximate agreement.
+// certificate), and selects through core.SelectFromCandidates, the call
+// core.Solve ends in, so every incremental solve is bit-for-bit identical
+// to core.Solve on the mutated scenario, and traced like one. The parity
+// tests in this package (TestParityAcrossMutations runs up to 200
+// obstacles × 200 devices) and the identity wall in internal/pdcs enforce
+// exactly that, not an approximate agreement.
 //
 // The paper discretizes and extracts each charger type on its own and
 // joins the types only in selection, so Solve runs the per-type pipelines
@@ -42,12 +42,6 @@
 // joined in type order, so placements, Stats and store contents do not
 // depend on Workers. A cold core.Solve keeps its types sequential (see
 // core.Options.Workers).
-//
-// Selection is warm-started: round-0 singleton gains are content-addressed
-// by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
-// only reused when it is provably bit-exact — device count and type tables
-// unchanged since it was computed — because the CELF heap order, and hence
-// the placement, would otherwise be allowed to drift under ties.
 package incremental
 
 import (
@@ -60,7 +54,6 @@ import (
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
 	"hipo/internal/schedule"
-	"hipo/internal/submodular"
 	"hipo/internal/visindex"
 )
 
@@ -124,8 +117,6 @@ type Stats struct {
 	TasksReused     int
 	SweepsComputed  int // positions swept
 	SweepsReused    int // positions served from cache
-	GainsWarm       int // round-0 gains replayed into the CELF heap
-	GainsCold       int // round-0 gains recomputed
 }
 
 // Session incrementally re-solves one scenario under a mutation stream.
@@ -137,12 +128,6 @@ type Session struct {
 	// of the last solve's positions that no mutation has reached since.
 	types []*pdcs.Store
 
-	// gains content-addresses round-0 singleton gains by coverage list;
-	// gainsOK is false whenever reuse would not be bit-exact (device count
-	// changed since the table was built, or a custom objective is in play).
-	gains   map[string]float64
-	gainsOK bool
-
 	prev  *core.Solution
 	fresh bool // prev reflects the current scenario
 	stats Stats
@@ -153,18 +138,12 @@ type Session struct {
 // and its output is the cold placement, bit for bit). The scenario is
 // cloned; the caller's copy is never touched.
 //
-// opt.Variant must be the default lazy greedy — the warm-start path is CELF
-// only — and opt.Eps must be zero or inside (0, 1/2). opt.Ctx is ignored;
-// mutations and solves are short-lived relative to a cold pipeline run.
+// opt.Eps must be zero or inside (0, 1/2); every greedy variant is
+// accepted. opt.Ctx is ignored; mutations and solves are short-lived
+// relative to a cold pipeline run.
 func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	if _, err := opt.Epsilon(); err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
-	}
-	if opt.Variant != core.GreedyLazy {
-		return nil, fmt.Errorf("incremental: only the lazy greedy variant supports warm-started re-solves")
-	}
-	if opt.SkipDominanceFilter {
-		return nil, fmt.Errorf("incremental: the SkipDominanceFilter ablation is not supported; sessions always run the full reduction")
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("incremental: invalid scenario: %w", err)
@@ -220,7 +199,6 @@ func (s *Session) applyOne(m Mutation) error {
 			ts.Tasks.AddTask()
 		}
 		s.invalidateAround(m.Device.Pos, m.Device.Pos)
-		s.gains, s.gainsOK = nil, false
 		return nil
 
 	case OpRemoveDevice:
@@ -239,7 +217,6 @@ func (s *Session) applyOne(m Mutation) error {
 		for _, ts := range s.types {
 			ts.Sweep.RemoveDevice(m.Index)
 		}
-		s.gains, s.gainsOK = nil, false
 		return nil
 
 	case OpMoveDevice:
@@ -377,61 +354,11 @@ func (s *Session) Solve() (*core.Solution, error) {
 	})
 	flushMemoStats()
 
-	sol, err := core.SelectWith(s.sc, cands, s.opt, s.greedyWarm)
+	sol, err := core.SelectFromCandidates(s.sc, cands, s.opt)
 	if err != nil {
 		return nil, err
 	}
 	s.prev, s.fresh = sol, true
 	s.stats.Solves++
 	return sol, nil
-}
-
-// greedyWarm is the lazy greedy with round-0 gains replayed from the
-// content-addressed cache when bit-exact reuse is possible.
-func (s *Session) greedyWarm(inst *submodular.Instance, flat []pdcs.Candidate) submodular.Result {
-	var prior []float64
-	if s.gainsOK && s.opt.Objective == nil {
-		prior = make([]float64, len(flat))
-		for e := range flat {
-			if g, ok := s.gains[coverKey(flat[e].Covers)]; ok {
-				prior[e] = g
-				s.stats.GainsWarm++
-			} else {
-				prior[e] = math.NaN()
-				s.stats.GainsCold++
-			}
-		}
-	} else {
-		s.stats.GainsCold += len(flat)
-	}
-	res, table := submodular.GreedyLazyWarm(inst, prior)
-
-	// Rebuild the gain cache from this run's exact table (its own
-	// mark-and-sweep: stale coverage signatures drop out).
-	if s.opt.Objective == nil {
-		s.gains = make(map[string]float64, len(flat))
-		for e := range flat {
-			s.gains[coverKey(flat[e].Covers)] = table[e]
-		}
-		s.gainsOK = true
-	}
-	return res
-}
-
-// coverKey content-addresses a coverage list: the round-0 singleton gain of
-// an element is a pure function of (Covers, Weight, Phi), and the cache is
-// cleared whenever the device count or type tables change, so equal keys
-// imply bit-equal gains. The key is the full binary content — no lossy
-// hashing, so a collision cannot smuggle a wrong gain into the CELF heap.
-func coverKey(covers []pdcs.DevPower) string {
-	buf := make([]byte, 0, 16*len(covers))
-	for _, dp := range covers {
-		d, p := uint64(dp.Device), math.Float64bits(dp.Power)
-		buf = append(buf,
-			byte(d), byte(d>>8), byte(d>>16), byte(d>>24),
-			byte(d>>32), byte(d>>40), byte(d>>48), byte(d>>56),
-			byte(p), byte(p>>8), byte(p>>16), byte(p>>24),
-			byte(p>>32), byte(p>>40), byte(p>>48), byte(p>>56))
-	}
-	return string(buf)
 }

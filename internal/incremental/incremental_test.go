@@ -161,9 +161,6 @@ func TestParityAcrossMutations(t *testing.T) {
 		if st.TasksReused == 0 || st.SweepsReused == 0 {
 			t.Fatalf("no cache reuse across mutations — the blast radius is degenerate: %+v", st)
 		}
-		if st.GainsWarm == 0 {
-			t.Fatalf("no warm gain replays across mutations: %+v", st)
-		}
 	})
 
 	const seed = 1
@@ -243,8 +240,8 @@ func TestRemoveThenReAddRoundTrip(t *testing.T) {
 }
 
 // TestWarmSolveMeetsOracleBound re-solves tiny mutated instances and checks
-// the incremental (warm-started) value against the exhaustive optimum over
-// the same candidate set — the 1/2 − ε guarantee must survive warm starts.
+// the incremental value against the exhaustive optimum over the same
+// candidate set — the 1/2 − ε guarantee must hold for session solves.
 func TestWarmSolveMeetsOracleBound(t *testing.T) {
 	sc := &model.Scenario{
 		Region: model.Region{Min: geom.V(0, 0), Max: geom.V(12, 12)},
@@ -332,12 +329,39 @@ func TestMutationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSolution(t, "after-rejections", coldSolve(t, sess.Scenario(), opt), inc)
+}
 
-	if _, err := incremental.NewSession(sc, core.Options{Variant: core.GreedyPerType}); err == nil {
-		t.Fatal("per-type variant accepted")
-	}
-	if _, err := incremental.NewSession(sc, core.Options{SkipDominanceFilter: true}); err == nil {
-		t.Fatal("SkipDominanceFilter accepted")
+// TestParityAcrossVariants: sessions select exactly as core.Solve does, so
+// every greedy variant is accepted, and after a device move a session under
+// the per-type and under the (seeded, hence deterministic) continuous
+// greedy equals a cold solve of the mutated scenario bit for bit.
+func TestParityAcrossVariants(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		variant core.GreedyVariant
+	}{{"per-type", core.GreedyPerType}, {"continuous", core.GreedyContinuous}} {
+		t.Run(v.name, func(t *testing.T) {
+			sc := midScenario()
+			opt := testOptions()
+			opt.Variant = v.variant
+			sess, err := incremental.NewSession(sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prime, err := sess.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolution(t, "prime", coldSolve(t, sess.Scenario(), opt), prime)
+			if err := sess.Apply(incremental.MoveDevice(0, feasiblePoint(sc), 1.25)); err != nil {
+				t.Fatal(err)
+			}
+			moved, err := sess.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolution(t, "move", coldSolve(t, sess.Scenario(), opt), moved)
+		})
 	}
 }
 
@@ -445,7 +469,9 @@ func TestHeldPositionsAreUseful(t *testing.T) {
 // cold one: on the same scenario, a traced priming Session.Solve (every
 // task generated, every position swept) and a traced core.Solve record the
 // same stages, per charger type, and the same funnel counters, and the
-// warm trace carries the visibility memo counters too.
+// warm trace carries the visibility memo counters too. After a device move
+// the warm re-solve still selects like the cold solve of the mutated
+// scenario: the same kept candidates and the same greedy work.
 func TestWarmTraceMatchesCold(t *testing.T) {
 	sc := midScenario()
 	coldOpt, warmOpt := testOptions(), testOptions()
@@ -485,5 +511,23 @@ func TestWarmTraceMatchesCold(t *testing.T) {
 	memo := func(b *hipotrace.Breakdown) int64 { return b.Counters["vis_memo_hits"] + b.Counters["vis_memo_misses"] }
 	if c, w := memo(cb), memo(wb); c == 0 || c != w {
 		t.Errorf("visibility memo lookups: warm %d, cold %d", w, c)
+	}
+
+	if err := sess.Apply(incremental.MoveDevice(0, feasiblePoint(sc), 1.25)); err != nil {
+		t.Fatal(err)
+	}
+	coldOpt.Tracer = hipotrace.New()
+	cold = coldSolve(t, sess.Scenario(), coldOpt)
+	if warm, err = sess.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "move", cold, warm)
+	// The session's tracer accumulates; the re-solve's counts are the
+	// growth since the priming solve.
+	cb, wb2 := coldOpt.Tracer.Breakdown(), warmOpt.Tracer.Breakdown()
+	for _, ctr := range []string{"candidates_kept", "gain_evals", "lazy_reevals", "lazy_fresh_hits"} {
+		if c, w := cb.Counters[ctr], wb2.Counters[ctr]-wb.Counters[ctr]; c == 0 || c != w {
+			t.Errorf("after move, counter %s: warm %d, cold %d", ctr, w, c)
+		}
 	}
 }

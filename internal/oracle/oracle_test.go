@@ -10,7 +10,9 @@ import (
 	"hipo/internal/geom"
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
+	"hipo/internal/pdcs"
 	"hipo/internal/submodular"
+	"hipo/internal/visindex"
 )
 
 func identity(x float64) float64 { return x }
@@ -161,16 +163,24 @@ func tinyScenario(variant int) *model.Scenario {
 func coarseOptions() core.Options {
 	opt := core.DefaultOptions()
 	opt.Eps = 0.3
-	// Dominance filtering collapses the tiny scenarios to a near-singleton
-	// candidate set, which would make greedy = optimum vacuously. Keeping
-	// dominated candidates preserves a real search space.
-	opt.SkipDominanceFilter = true
 	return opt
 }
 
+// unfilteredCandidates is core.ExtractCandidates with the dominance filter
+// skipped, returned with the scenario it ran on (its visibility index
+// attached). Dominance filtering collapses the tiny scenarios to a
+// near-singleton candidate set, which would make greedy = optimum
+// vacuously; keeping dominated candidates preserves a real search space.
+func unfilteredCandidates(sc *model.Scenario, opt core.Options) (*model.Scenario, [][]pdcs.Candidate) {
+	sc = visindex.Ensure(sc)
+	cfg := pdcs.Config{Eps1: opt.Eps1(), Workers: opt.Workers, SkipDominanceFilter: true, Tracer: opt.Tracer}
+	return sc, pdcs.ExtractAll(sc, cfg)
+}
+
 // TestGreedyMeetsGuarantee asserts the 1/2 bound of Theorem 4.2 against
-// the true optimum over the extracted candidates: the greedy's value must
-// be within [opt/2 − 1e-9, opt + 1e-9] on every tiny scenario.
+// the true optimum over the extracted (unfiltered) candidates: the
+// greedy's value must be within [opt/2 − 1e-9, opt + 1e-9] on every tiny
+// scenario.
 func TestGreedyMeetsGuarantee(t *testing.T) {
 	for variant := 0; variant <= 1; variant++ {
 		sc := tinyScenario(variant)
@@ -178,7 +188,9 @@ func TestGreedyMeetsGuarantee(t *testing.T) {
 			t.Fatalf("variant %d: %v", variant, err)
 		}
 		opt := coarseOptions()
-		orc, inst, err := OptimalValue(sc, opt, 5_000_000)
+		sc, cands := unfilteredCandidates(sc, opt)
+		inst, _ := core.BuildInstance(sc, cands, opt)
+		orc, err := Exhaustive(inst, 5_000_000)
 		if err != nil {
 			t.Fatalf("variant %d: %v", variant, err)
 		}
@@ -196,17 +208,14 @@ func TestGreedyMeetsGuarantee(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesInstanceGreedy ties the pipeline's ApproxValue to the
-// instance-level greedy the oracle brackets, closing the chain
-// oracle ⇒ greedy ⇒ core.Solve.
+// TestSolveMatchesInstanceGreedy ties the selection's ApproxValue to the
+// instance-level greedy the oracle brackets, on the same unfiltered
+// candidates, closing the chain oracle ⇒ greedy ⇒
+// core.SelectFromCandidates, the selection every solve ends in.
 func TestSolveMatchesInstanceGreedy(t *testing.T) {
-	sc := tinyScenario(0)
 	opt := coarseOptions()
-	sol, err := core.Solve(sc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := core.ExtractCandidates(sc, opt)
+	sc, cands := unfilteredCandidates(tinyScenario(0), opt)
+	sol, err := core.SelectFromCandidates(sc, cands, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +234,14 @@ func TestSolveMatchesInstanceGreedy(t *testing.T) {
 // carries every stage and the pipeline counters.
 func TestIndexedVsBruteForcePlacement(t *testing.T) {
 	type input struct {
-		name string
-		sc   *model.Scenario
-		opt  core.Options
+		name       string
+		sc         *model.Scenario
+		opt        core.Options
+		unfiltered bool // select over unfilteredCandidates instead of core.Solve
 	}
 	var inputs []input
 	for variant := 0; variant <= 1; variant++ {
-		inputs = append(inputs, input{fmt.Sprintf("tiny-%d", variant), tinyScenario(variant), coarseOptions()})
+		inputs = append(inputs, input{fmt.Sprintf("tiny-%d", variant), tinyScenario(variant), coarseOptions(), true})
 	}
 	for _, p := range []struct {
 		obstacles, deviceMult int
@@ -244,7 +254,7 @@ func TestIndexedVsBruteForcePlacement(t *testing.T) {
 		opt.Eps = p.eps
 		inputs = append(inputs, input{
 			fmt.Sprintf("bench-%d-obstacles-x%d-eps-%v", p.obstacles, p.deviceMult, p.eps),
-			expt.BenchScenario(1, p.obstacles, p.deviceMult), opt,
+			expt.BenchScenario(1, p.obstacles, p.deviceMult), opt, false,
 		})
 	}
 
@@ -253,7 +263,14 @@ func TestIndexedVsBruteForcePlacement(t *testing.T) {
 			opt := in.opt
 			solve := func(arm string, sc *model.Scenario) *core.Solution {
 				t.Helper()
-				sol, err := core.Solve(sc, opt)
+				var sol *core.Solution
+				var err error
+				if in.unfiltered {
+					esc, cands := unfilteredCandidates(sc, opt)
+					sol, err = core.SelectFromCandidates(esc, cands, opt)
+				} else {
+					sol, err = core.Solve(sc, opt)
+				}
 				if err != nil {
 					t.Fatalf("%s: %v", arm, err)
 				}

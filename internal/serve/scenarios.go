@@ -287,10 +287,12 @@ type scenarioSolveResponse struct {
 }
 
 // handleScenarioSolve solves a registered scenario through the
-// incremental machinery. Only the default lazy greedy variant is
-// supported, and solves run synchronously: sessions are long-lived and
-// advance by replaying the mutation chain from wherever they last solved,
-// so queueing them as detached jobs would serialize on the slot anyway.
+// incremental machinery. Solves run synchronously: sessions are long-lived
+// and advance by replaying the mutation chain from wherever they last
+// solved, so queueing them as detached jobs would serialize on the slot
+// anyway. Because nothing bounds a synchronous solve's work yet, only the
+// default lazy greedy variant is served; sessions accept the per-type and
+// continuous variants too, but here they answer 400.
 func (s *Server) handleScenarioSolve(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	e, ok := s.scenarios.get(hash)

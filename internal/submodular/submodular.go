@@ -197,33 +197,6 @@ func (h *lazyHeap) Pop() any {
 //
 //hipo:hotpath
 func GreedyLazy(inst *Instance) Result {
-	res, _ := greedyLazy(inst, nil)
-	return res
-}
-
-// GreedyLazyWarm is GreedyLazy warm-started with cached round-0 singleton
-// gains: prior[e], when not NaN, is taken verbatim as element e's initial
-// marginal gain instead of being recomputed. It also returns the complete
-// round-0 gain table of this run, suitable for feeding back as the prior of
-// a later run over the same (or a partially overlapping) ground set.
-//
-// The caller owns the exactness contract: a prior entry must hold the exact
-// bits st.gain(e) would produce on the empty state, i.e. the element's
-// Covers, the device Weight/Phi tables, and the summation order must be
-// unchanged since the entry was computed. Under that contract the run is
-// bit-identical to GreedyLazy — the heap is seeded with the same values, so
-// every pop, re-evaluation, and tie resolves the same way. With prior nil
-// (or all-NaN) it IS GreedyLazy.
-//
-//hipo:hotpath
-func GreedyLazyWarm(inst *Instance, prior []float64) (Result, []float64) {
-	return greedyLazy(inst, prior)
-}
-
-// greedyLazy is the shared CELF body. prior, when non-nil, supplies cached
-// round-0 gains (NaN = compute); the returned slice is the full round-0 gain
-// table, always freshly allocated.
-func greedyLazy(inst *Instance, prior []float64) (Result, []float64) {
 	st := newState(inst)
 	remaining := append([]int(nil), inst.Budget...)
 	total := 0
@@ -231,29 +204,17 @@ func greedyLazy(inst *Instance, prior []float64) (Result, []float64) {
 		total += b
 	}
 
-	evals, reevals, freshHits, warmHits := int64(0), int64(0), int64(0), int64(0)
+	evals, reevals, freshHits := int64(0), int64(0), int64(0)
 	defer func() {
 		inst.Tracer.Add(hipotrace.CtrGainEvals, evals)
 		inst.Tracer.Add(hipotrace.CtrLazyReevals, reevals)
 		inst.Tracer.Add(hipotrace.CtrLazyFreshHits, freshHits)
-		inst.Tracer.Add(hipotrace.CtrLazyWarmHits, warmHits)
 	}()
 
-	gains := make([]float64, len(inst.Elements))
 	h := make(lazyHeap, 0, len(inst.Elements))
 	for e := range inst.Elements {
-		g := math.NaN()
-		if e < len(prior) {
-			g = prior[e]
-		}
-		if math.IsNaN(g) {
-			evals++
-			g = st.gain(e)
-		} else {
-			warmHits++
-		}
-		gains[e] = g
-		if g > 0 {
+		evals++
+		if g := st.gain(e); g > 0 {
 			h = append(h, lazyItem{e: e, gain: g, round: 0})
 		}
 	}
@@ -310,7 +271,7 @@ func greedyLazy(inst *Instance, prior []float64) (Result, []float64) {
 			deferred = keep
 		}
 	}
-	return Result{Selected: sel, Value: st.val}, gains
+	return Result{Selected: sel, Value: st.val}
 }
 
 // Evaluate computes f(X) for an arbitrary selection.
