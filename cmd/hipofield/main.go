@@ -18,9 +18,6 @@ import (
 	"os"
 
 	"hipo"
-	"hipo/internal/field"
-	"hipo/internal/geom"
-	"hipo/internal/model"
 )
 
 func main() {
@@ -30,56 +27,46 @@ func main() {
 		outPath = flag.String("out", "", "output SVG (default stdout)")
 		res     = flag.Int("res", 120, "grid resolution per axis")
 		probe   = flag.Int("probe", 0, "device type index calibrating the probe")
-		workers = flag.Int("workers", 0, "sampling goroutines (0 = one per row)")
 	)
 	flag.Parse()
 	if *scPath == "" || *plPath == "" {
 		fmt.Fprintln(os.Stderr, "hipofield: -scenario and -placement are required")
 		os.Exit(1)
 	}
-	if err := run(*scPath, *plPath, *outPath, *res, *probe, *workers); err != nil {
+	if err := run(*scPath, *plPath, *outPath, *res, *probe); err != nil {
 		fmt.Fprintln(os.Stderr, "hipofield:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scPath, plPath, outPath string, res, probe, workers int) error {
-	var pub hipo.Scenario
-	if err := decodeFile(scPath, &pub); err != nil {
+// run samples the field through the library's Scenario.Field, which
+// validates the scenario, the placement and the probe type.
+func run(scPath, plPath, outPath string, res, probe int) error {
+	var sc hipo.Scenario
+	if err := decodeFile(scPath, &sc); err != nil {
 		return err
-	}
-	sc, err := internalScenario(&pub)
-	if err != nil {
-		return err
-	}
-	if probe < 0 || probe >= len(sc.DeviceTypes) {
-		return fmt.Errorf("probe type %d out of range", probe)
 	}
 	var pl hipo.Placement
 	if err := decodeFile(plPath, &pl); err != nil {
 		return err
 	}
-	var placed []model.Strategy
-	for _, c := range pl.Chargers {
-		placed = append(placed, model.Strategy{
-			Pos: geom.V(c.Pos.X, c.Pos.Y), Orient: c.Orient, Type: c.Type,
-		})
+	f, err := sc.Field(&pl, probe, res)
+	if err != nil {
+		return err
 	}
-	grid := field.Sample(sc, placed, probe, res, res, workers)
 	fmt.Fprintf(os.Stderr, "peak probe power %.4f; coverage ≥ Pth: %.1f%%\n",
-		grid.MaxValue(),
-		100*grid.CoverageFraction(sc.DeviceTypes[probe].PTh))
+		f.Peak, 100*f.CoverageAtPth)
 
 	var out io.Writer = os.Stdout
 	if outPath != "" {
-		f, err := os.Create(outPath)
+		file, err := os.Create(outPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
+		defer file.Close()
+		out = file
 	}
-	return field.RenderHeatmap(out, sc, grid)
+	return f.WriteHeatmap(out)
 }
 
 func decodeFile(path string, v any) error {
@@ -89,43 +76,4 @@ func decodeFile(path string, v any) error {
 	}
 	defer f.Close()
 	return json.NewDecoder(f).Decode(v)
-}
-
-func internalScenario(s *hipo.Scenario) (*model.Scenario, error) {
-	sc := &model.Scenario{
-		Region: model.Region{Min: geom.V(s.Min.X, s.Min.Y), Max: geom.V(s.Max.X, s.Max.Y)},
-	}
-	for _, c := range s.ChargerTypes {
-		sc.ChargerTypes = append(sc.ChargerTypes, model.ChargerType{
-			Name: c.Name, Alpha: c.Alpha, DMin: c.DMin, DMax: c.DMax, Count: c.Count,
-		})
-	}
-	for _, d := range s.DeviceTypes {
-		sc.DeviceTypes = append(sc.DeviceTypes, model.DeviceType{
-			Name: d.Name, Alpha: d.Alpha, PTh: d.PTh,
-		})
-	}
-	for _, row := range s.Power {
-		var r []model.PowerParams
-		for _, p := range row {
-			r = append(r, model.PowerParams{A: p.A, B: p.B})
-		}
-		sc.Power = append(sc.Power, r)
-	}
-	for _, d := range s.Devices {
-		sc.Devices = append(sc.Devices, model.Device{
-			Pos: geom.V(d.Pos.X, d.Pos.Y), Orient: d.Orient, Type: d.Type,
-		})
-	}
-	for _, o := range s.Obstacles {
-		var vs []geom.Vec
-		for _, v := range o.Vertices {
-			vs = append(vs, geom.V(v.X, v.Y))
-		}
-		sc.Obstacles = append(sc.Obstacles, model.Obstacle{Shape: geom.Polygon{Vertices: vs}})
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }

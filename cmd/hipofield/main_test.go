@@ -43,7 +43,7 @@ func TestRunHeatmap(t *testing.T) {
 		{Pos: hipo.Point{X: 6, Y: 10}, Orient: 0, Type: 0},
 	}})
 	out := filepath.Join(t.TempDir(), "f.svg")
-	if err := run(scPath, plPath, out, 24, 0, 2); err != nil {
+	if err := run(scPath, plPath, out, 24, 0); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(out)
@@ -58,13 +58,18 @@ func TestRunHeatmap(t *testing.T) {
 func TestRunBadProbe(t *testing.T) {
 	scPath := writeJSON(t, "sc.json", fieldScenario())
 	plPath := writeJSON(t, "pl.json", &hipo.Placement{})
-	if err := run(scPath, plPath, "", 8, 5, 1); err == nil {
+	if err := run(scPath, plPath, "", 8, 5); err == nil {
 		t.Error("out-of-range probe should fail")
+	}
+	// A charger type the scenario lacks used to panic in the sampler.
+	plPath = writeJSON(t, "bad.json", &hipo.Placement{Chargers: []hipo.PlacedCharger{{Type: 7}}})
+	if err := run(scPath, plPath, "", 8, 0); err == nil {
+		t.Error("placement with an unknown charger type should fail")
 	}
 }
 
 func TestRunMissingFiles(t *testing.T) {
-	if err := run("nope.json", "nope.json", "", 8, 0, 1); err == nil {
+	if err := run("nope.json", "nope.json", "", 8, 0); err == nil {
 		t.Error("missing files should fail")
 	}
 }

@@ -62,6 +62,9 @@ func run(scPath, plPath, outPath, title string, scale float64, cellsType int, ep
 				Pos: geom.V(c.Pos.X, c.Pos.Y), Orient: c.Orient, Type: c.Type,
 			})
 		}
+		if err := sc.ValidatePlacement(placed); err != nil {
+			return fmt.Errorf("placement: %w", err)
+		}
 	}
 	var out io.Writer = os.Stdout
 	if outPath != "" {

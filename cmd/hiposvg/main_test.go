@@ -78,6 +78,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run(bad, "", "", "", 10, -1, 0.15); err == nil {
 		t.Error("invalid scenario should fail")
 	}
+	// A charger type the scenario lacks used to panic in the renderer.
+	scPath := writeJSON(t, "sc.json", testScenario())
+	plPath := writeJSON(t, "pl.json", &hipo.Placement{Chargers: []hipo.PlacedCharger{{Type: 7}}})
+	if err := run(scPath, plPath, "", "", 10, -1, 0.15); err == nil {
+		t.Error("placement with an unknown charger type should fail")
+	}
 }
 
 func TestRunRendersCells(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"hipo/internal/field"
+	"hipo/internal/model"
 )
 
 // PowerField is a sampled map of the charging power a virtual
@@ -23,13 +24,14 @@ type PowerField struct {
 	// least the probe device type's power threshold.
 	CoverageAtPth float64 `json:"coverage_at_pth"`
 
-	scenario *Scenario
-	grid     *field.Grid
+	sc   *model.Scenario // the validated scenario the field was sampled on
+	grid *field.Grid
 }
 
 // Field samples the probe-power field of a placement on a res × res grid.
 // probeType selects which device type's power constants and threshold
 // calibrate the probe. Useful for spotting dead zones a placement leaves.
+// The placement is checked as in Evaluate.
 func (s *Scenario) Field(p *Placement, probeType, res int) (*PowerField, error) {
 	sc, err := s.internalScenario()
 	if err != nil {
@@ -41,23 +43,23 @@ func (s *Scenario) Field(p *Placement, probeType, res int) (*PowerField, error) 
 	if res < 2 {
 		return nil, fmt.Errorf("hipo: field resolution %d too small", res)
 	}
-	grid := field.Sample(sc, placedToStrategies(p.Chargers), probeType, res, res, 0)
+	placed := placedToStrategies(p.Chargers)
+	if err := sc.ValidatePlacement(placed); err != nil {
+		return nil, inputError("placement", err)
+	}
+	grid := field.Sample(sc, placed, probeType, res, res, 0)
 	return &PowerField{
 		Values:        grid.Values,
 		NX:            grid.NX,
 		NY:            grid.NY,
 		Peak:          grid.MaxValue(),
 		CoverageAtPth: grid.CoverageFraction(sc.DeviceTypes[probeType].PTh),
-		scenario:      s,
+		sc:            sc,
 		grid:          grid,
 	}, nil
 }
 
 // WriteHeatmap renders the field as an SVG heatmap.
 func (f *PowerField) WriteHeatmap(w io.Writer) error {
-	sc, err := f.scenario.internalScenario()
-	if err != nil {
-		return err
-	}
-	return field.RenderHeatmap(w, sc, f.grid)
+	return field.RenderHeatmap(w, f.sc, f.grid)
 }

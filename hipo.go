@@ -162,15 +162,33 @@ func (s *Scenario) internalScenario() (*model.Scenario, error) {
 		sc.Obstacles = append(sc.Obstacles, model.Obstacle{Shape: geom.Polygon{Vertices: vs}})
 	}
 	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("hipo: %w", err)
+		return nil, inputError("scenario", err)
 	}
 	return sc, nil
 }
 
-// Validate checks the scenario for structural and physical consistency.
+// Validate checks the scenario against the paper's Section 3 model, devices
+// inside the region and outside every obstacle included. The error wraps a
+// *FieldError rooted at "scenario".
 func (s *Scenario) Validate() error {
 	_, err := s.internalScenario()
 	return err
+}
+
+// FieldError is an invalid input, located by the path of the offending
+// field in this package's JSON schema, rooted at the name of the input that
+// holds it: "scenario.devices[1].pos.x", "placement.chargers[0].type",
+// "budget.per_meter". Every input rejection of this package wraps one;
+// find it with errors.As.
+type FieldError = model.FieldError
+
+// inputError roots a validation failure (a bare *FieldError, as the model's
+// validators return) at the name of the input that failed it.
+func inputError(input string, err error) error {
+	if fe, ok := err.(*FieldError); ok {
+		err = fe.Within(input)
+	}
+	return fmt.Errorf("hipo: %w", err)
 }
 
 // MarshalJSON/UnmarshalJSON round-trip scenarios for the CLI tools; the

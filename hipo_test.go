@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -84,11 +85,81 @@ func TestSolveOptions(t *testing.T) {
 func TestValidateRejectsBadScenario(t *testing.T) {
 	s := demoScenario()
 	s.Power = nil
-	if err := s.Validate(); err == nil {
-		t.Error("expected validation error")
+	checkField(t, s.Validate(), "scenario.power")
+	_, err := s.Solve()
+	checkField(t, err, "scenario.power")
+}
+
+// checkField fails unless err wraps the *FieldError at path field.
+func checkField(t *testing.T, err error, field string) {
+	t.Helper()
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Path != field {
+		t.Fatalf("error %v, want a *FieldError at %s", err, field)
 	}
-	if _, err := s.Solve(); err == nil {
-		t.Error("Solve should reject invalid scenario")
+}
+
+// TestEntryPointsRejectInvalidInputs: every entry point that takes an input
+// beside the scenario checks it and names the offending field, rooted at
+// the argument. Before these checks, Evaluate and Field panicked on a
+// charger type the scenario lacks, SolveBudgeted returned an empty or a full placement for a
+// negative budget or a NaN rate, and redeploying under a NaN rate failed
+// inside the matching.
+func TestEntryPointsRejectInvalidInputs(t *testing.T) {
+	s := demoScenario()
+	nan := math.NaN()
+	old := &Placement{Chargers: []PlacedCharger{{Pos: Point{5, 5}}, {Pos: Point{35, 35}, Type: 1}}}
+	moved := &Placement{Chargers: []PlacedCharger{{Pos: Point{6, 5}}, {Pos: Point{35, 30}, Type: 1}}}
+	cases := []struct {
+		name  string
+		run   func() error
+		field string
+	}{
+		{"evaluate-type-oob", func() error {
+			_, err := s.Evaluate(&Placement{Chargers: []PlacedCharger{{Pos: Point{5, 5}, Type: 3}}})
+			return err
+		}, "placement.chargers[0].type"},
+		{"evaluate-nan-orient", func() error {
+			_, err := s.Evaluate(&Placement{Chargers: []PlacedCharger{{Pos: Point{5, 5}, Orient: nan}}})
+			return err
+		}, "placement.chargers[0].orient"},
+		{"field-type-oob", func() error {
+			_, err := s.Field(&Placement{Chargers: []PlacedCharger{{Pos: Point{5, 5}, Type: 2}}}, 0, 8)
+			return err
+		}, "placement.chargers[0].type"},
+		{"budgeted-negative", func() error {
+			_, err := s.SolveBudgeted(DeploymentBudget{PerMeter: 1, Budget: -5})
+			return err
+		}, "budget.budget"},
+		{"budgeted-nan-rate", func() error {
+			_, err := s.SolveBudgeted(DeploymentBudget{PerMeter: nan, Budget: 50})
+			return err
+		}, "budget.per_meter"},
+		{"redeploy-nan-rate", func() error {
+			_, err := s.RedeployMinTotal(old, moved, RedeployCost{PerMeter: nan})
+			return err
+		}, "cost.per_meter"},
+		{"redeploy-old-type", func() error {
+			_, err := s.RedeployMinMax(&Placement{Chargers: []PlacedCharger{{Type: -1}}}, moved, RedeployCost{})
+			return err
+		}, "old.chargers[0].type"},
+		{"redeploy-new-pos", func() error {
+			_, err := s.RedeployMinTotal(old, &Placement{Chargers: []PlacedCharger{{Pos: Point{nan, 1}}}}, RedeployCost{})
+			return err
+		}, "new.chargers[0].pos.x"},
+		{"mutation", func() error {
+			inc, err := s.NewIncremental(WithEps(0.3))
+			if err != nil {
+				return err
+			}
+			return inc.Apply(MutateMoveDevice(0, Point{20, 18}, 0))
+		}, "scenario.devices[0].pos"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkField(t, tc.run(), tc.field) })
+	}
+	if _, err := s.RedeployMinTotal(old, moved, RedeployCost{PerMeter: 1}); err != nil {
+		t.Fatalf("valid redeploy rejected: %v", err)
 	}
 }
 

@@ -133,8 +133,10 @@ func (s *Scenario) NewIncremental(opts ...Option) (*Incremental, error) {
 }
 
 // Apply applies the mutations in order, validating each against the current
-// scenario. On error, mutations earlier in the batch remain applied and the
-// session stays usable.
+// scenario: a mutation that would make it invalid is rejected with the
+// *FieldError Validate would report for the result ("scenario.devices[3].pos"
+// for a device moved into an obstacle). On error, mutations earlier in the
+// batch remain applied and the session stays usable.
 func (inc *Incremental) Apply(muts ...Mutation) error {
 	for _, m := range muts {
 		im, err := m.internal()
@@ -142,7 +144,7 @@ func (inc *Incremental) Apply(muts ...Mutation) error {
 			return err
 		}
 		if err := inc.sess.Apply(im); err != nil {
-			return err
+			return inputError("scenario", err)
 		}
 	}
 	return nil

@@ -174,9 +174,11 @@ func (s *Session) Stats() Stats {
 	return st
 }
 
-// Apply applies the mutations in order. Each mutation is validated against
-// the current scenario before it lands; on error the earlier mutations of
-// the batch remain applied and the session stays consistent.
+// Apply applies the mutations in order. Each is checked before it lands by
+// the model's own rules (ValidateDevice, ValidateObstacle), so a rejection is
+// the *model.FieldError Validate reports for the scenario it would produce,
+// or "devices[i]" for an index past the devices. On error the earlier
+// mutations of the batch remain applied and the session stays consistent.
 func (s *Session) Apply(muts ...Mutation) error {
 	for _, m := range muts {
 		if err := s.applyOne(m); err != nil {
@@ -189,9 +191,12 @@ func (s *Session) Apply(muts ...Mutation) error {
 }
 
 func (s *Session) applyOne(m Mutation) error {
+	if (m.Op == OpRemoveDevice || m.Op == OpMoveDevice) && (m.Index < 0 || m.Index >= len(s.sc.Devices)) {
+		return model.Errorf(fmt.Sprintf("devices[%d]", m.Index), "no such device; the scenario has %d", len(s.sc.Devices))
+	}
 	switch m.Op {
 	case OpAddDevice:
-		if err := s.checkDevice(m.Device, true); err != nil {
+		if err := s.sc.ValidateDevice(len(s.sc.Devices), m.Device); err != nil {
 			return err
 		}
 		s.sc.Devices = append(s.sc.Devices, m.Device)
@@ -202,9 +207,6 @@ func (s *Session) applyOne(m Mutation) error {
 		return nil
 
 	case OpRemoveDevice:
-		if m.Index < 0 || m.Index >= len(s.sc.Devices) {
-			return fmt.Errorf("incremental: remove: device index %d out of range [0, %d)", m.Index, len(s.sc.Devices))
-		}
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices = append(s.sc.Devices[:m.Index], s.sc.Devices[m.Index+1:]...)
 		for _, ts := range s.types {
@@ -220,12 +222,9 @@ func (s *Session) applyOne(m Mutation) error {
 		return nil
 
 	case OpMoveDevice:
-		if m.Index < 0 || m.Index >= len(s.sc.Devices) {
-			return fmt.Errorf("incremental: move: device index %d out of range [0, %d)", m.Index, len(s.sc.Devices))
-		}
 		d := s.sc.Devices[m.Index]
 		d.Pos, d.Orient = m.Device.Pos, m.Device.Orient
-		if err := s.checkDevice(d, false); err != nil {
+		if err := s.sc.ValidateDevice(m.Index, d); err != nil {
 			return err
 		}
 		old := s.sc.Devices[m.Index].Pos
@@ -237,18 +236,8 @@ func (s *Session) applyOne(m Mutation) error {
 		return nil
 
 	case OpAddObstacle:
-		if err := m.Obstacle.Shape.Validate(); err != nil {
-			return fmt.Errorf("incremental: obstacle: %w", err)
-		}
-		for _, v := range m.Obstacle.Shape.Vertices {
-			if !finite(v.X) || !finite(v.Y) {
-				return fmt.Errorf("incremental: obstacle: non-finite vertex (%v, %v)", v.X, v.Y)
-			}
-		}
-		for i, d := range s.sc.Devices {
-			if m.Obstacle.Shape.ContainsInterior(d.Pos) {
-				return fmt.Errorf("incremental: obstacle would swallow device %d", i)
-			}
+		if err := s.sc.ValidateObstacle(len(s.sc.Obstacles), m.Obstacle); err != nil {
+			return err
 		}
 		s.sc.Obstacles = append(s.sc.Obstacles, m.Obstacle)
 		// Ensure detects the obstacle-set change by hash and rebuilds the
@@ -269,28 +258,6 @@ func (s *Session) applyOne(m Mutation) error {
 		return fmt.Errorf("incremental: unknown mutation op %d", m.Op)
 	}
 }
-
-// checkDevice validates a device against the current scenario (the same
-// predicates Scenario.Validate applies).
-func (s *Session) checkDevice(d model.Device, checkType bool) error {
-	if !finite(d.Pos.X) || !finite(d.Pos.Y) || !finite(d.Orient) {
-		return fmt.Errorf("incremental: device has non-finite position or orientation")
-	}
-	if checkType && (d.Type < 0 || d.Type >= len(s.sc.DeviceTypes)) {
-		return fmt.Errorf("incremental: device type %d out of range [0, %d)", d.Type, len(s.sc.DeviceTypes))
-	}
-	if !s.sc.Region.Contains(d.Pos) {
-		return fmt.Errorf("incremental: device position (%v, %v) outside region", d.Pos.X, d.Pos.Y)
-	}
-	for h := range s.sc.Obstacles {
-		if s.sc.Obstacles[h].Shape.ContainsInterior(d.Pos) {
-			return fmt.Errorf("incremental: device position (%v, %v) inside obstacle %d", d.Pos.X, d.Pos.Y, h)
-		}
-	}
-	return nil
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // invalidateAround drops, for every charger type, the event samples of
 // the devices within 2·d_max + pad of either point (they read the

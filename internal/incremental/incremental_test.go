@@ -5,6 +5,7 @@
 package incremental_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -299,8 +300,11 @@ func TestWarmSolveMeetsOracleBound(t *testing.T) {
 	}
 }
 
-// TestMutationValidation exercises the rejection paths; a rejected mutation
-// must leave the session consistent (next solve still matches cold).
+// TestMutationValidation: a session judges a mutation by the model's own
+// rules. Each rejected mutation fails with the *model.FieldError path
+// Validate reports for the scenario it would produce (an index past the
+// devices at that "devices[i]"), the session stays usable, and an accepted
+// move leaves a scenario Validate accepts.
 func TestMutationValidation(t *testing.T) {
 	sc := midScenario()
 	opt := testOptions()
@@ -308,27 +312,83 @@ func TestMutationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inObstacle geom.Vec
+	for _, o := range sc.Obstacles {
+		inObstacle = geom.V(0, 0)
+		for _, v := range o.Shape.Vertices {
+			inObstacle = inObstacle.Add(v.Scale(1 / float64(len(o.Shape.Vertices))))
+		}
+		if o.Shape.ContainsInterior(inObstacle) {
+			break
+		}
+	}
+	nan := math.NaN()
 	bad := []incremental.Mutation{
 		incremental.RemoveDevice(-1),
 		incremental.RemoveDevice(len(sc.Devices)),
-		incremental.MoveDevice(0, geom.V(math.NaN(), 1), 0),
+		incremental.MoveDevice(len(sc.Devices), geom.V(1, 1), 0),
+		incremental.MoveDevice(0, geom.V(nan, 1), 0),
+		incremental.MoveDevice(0, geom.V(1, math.Inf(1)), 0),
+		incremental.MoveDevice(0, geom.V(1, 1), nan),
 		incremental.MoveDevice(0, geom.V(sc.Region.Max.X+100, 1), 0),
+		incremental.MoveDevice(1, inObstacle, 0),
 		incremental.AddDevice(model.Device{Pos: geom.V(1, 1), Type: 99}),
+		incremental.AddDevice(model.Device{Pos: inObstacle}),
 		incremental.AddObstacle(model.Obstacle{Shape: geom.Polygon{Vertices: []geom.Vec{{X: 0, Y: 0}}}}),
+		incremental.AddObstacle(model.Obstacle{Shape: geom.Poly(geom.V(1, 1), geom.V(2, nan), geom.V(2, 2))}),
 		incremental.AddObstacle(model.Obstacle{Shape: geom.Rect(
 			sc.Devices[0].Pos.X-1, sc.Devices[0].Pos.Y-1,
 			sc.Devices[0].Pos.X+1, sc.Devices[0].Pos.Y+1)}),
 	}
 	for i, m := range bad {
-		if err := sess.Apply(m); err == nil {
-			t.Fatalf("mutation %d was accepted", i)
+		err := sess.Apply(m)
+		var got *model.FieldError
+		if !errors.As(err, &got) {
+			t.Fatalf("mutation %d: error %v, want a *model.FieldError", i, err)
 		}
+		want := fmt.Sprintf("devices[%d]", m.Index)
+		if next := mutated(sess.Scenario(), m); next != nil {
+			var fe *model.FieldError
+			if !errors.As(next.Validate(), &fe) {
+				t.Fatalf("mutation %d: Validate accepts the scenario the session rejected (%v)", i, err)
+			}
+			want = fe.Path
+		}
+		if got.Path != want {
+			t.Errorf("mutation %d: session rejects at %q, Validate at %q", i, got.Path, want)
+		}
+	}
+	if err := sess.Apply(incremental.MoveDevice(0, feasiblePoint(sc), 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Scenario().Validate(); err != nil {
+		t.Fatalf("accepted move left an invalid scenario: %v", err)
 	}
 	inc, err := sess.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSolution(t, "after-rejections", coldSolve(t, sess.Scenario(), opt), inc)
+}
+
+// mutated applies m to a copy of sc without validating it, or returns nil
+// when m addresses a device sc does not have.
+func mutated(sc *model.Scenario, m incremental.Mutation) *model.Scenario {
+	if (m.Op == incremental.OpRemoveDevice || m.Op == incremental.OpMoveDevice) &&
+		(m.Index < 0 || m.Index >= len(sc.Devices)) {
+		return nil
+	}
+	switch m.Op {
+	case incremental.OpAddDevice:
+		sc.Devices = append(sc.Devices, m.Device)
+	case incremental.OpRemoveDevice:
+		sc.Devices = append(sc.Devices[:m.Index], sc.Devices[m.Index+1:]...)
+	case incremental.OpMoveDevice:
+		sc.Devices[m.Index].Pos, sc.Devices[m.Index].Orient = m.Device.Pos, m.Device.Orient
+	case incremental.OpAddObstacle:
+		sc.Obstacles = append(sc.Obstacles, m.Obstacle)
+	}
+	return sc
 }
 
 // TestParityAcrossVariants: sessions select exactly as core.Solve does, so

@@ -1,15 +1,13 @@
 // Package model defines the HIPO problem entities of Section 3: heterogeneous
 // charger and device types, obstacles, deployment scenarios, and placement
-// strategies. It is purely declarative; the charging physics live in
-// internal/power and the algorithms in internal/core.
+// strategies, and it owns their validity: Scenario.Validate and the
+// per-device, per-obstacle and placement predicates it is built from are
+// the one statement of what a valid instance is, reported by field path
+// (FieldError). The charging physics live in internal/power and the
+// algorithms in internal/core.
 package model
 
-import (
-	"fmt"
-	"math"
-
-	"hipo/internal/geom"
-)
+import "hipo/internal/geom"
 
 // ChargerType describes one heterogeneous charger class (Table 2): its
 // sector-ring charging area and how many units of it are available for
@@ -22,23 +20,6 @@ type ChargerType struct {
 	Count int     // N_q: number of chargers of this type to place
 }
 
-// Validate checks physical plausibility of the charger type.
-func (c ChargerType) Validate() error {
-	switch {
-	case !isFinite(c.Alpha) || !isFinite(c.DMin) || !isFinite(c.DMax):
-		return fmt.Errorf("model: charger %q: non-finite parameters", c.Name)
-	case c.Alpha <= 0 || c.Alpha > 2*math.Pi+geom.Eps:
-		return fmt.Errorf("model: charger %q: alpha %v out of (0, 2π]", c.Name, c.Alpha)
-	case c.DMin < 0:
-		return fmt.Errorf("model: charger %q: negative DMin %v", c.Name, c.DMin)
-	case c.DMax <= c.DMin:
-		return fmt.Errorf("model: charger %q: DMax %v must exceed DMin %v", c.Name, c.DMax, c.DMin)
-	case c.Count < 0:
-		return fmt.Errorf("model: charger %q: negative Count %d", c.Name, c.Count)
-	}
-	return nil
-}
-
 // DeviceType describes one heterogeneous rechargeable-device class (Table
 // 3): its receiving angle and power saturation threshold.
 type DeviceType struct {
@@ -47,34 +28,10 @@ type DeviceType struct {
 	PTh   float64 // power threshold P_th of the utility model, Eq. (3)
 }
 
-// Validate checks physical plausibility of the device type.
-func (d DeviceType) Validate() error {
-	switch {
-	case !isFinite(d.Alpha) || !isFinite(d.PTh):
-		return fmt.Errorf("model: device %q: non-finite parameters", d.Name)
-	case d.Alpha <= 0 || d.Alpha > 2*math.Pi+geom.Eps:
-		return fmt.Errorf("model: device %q: alpha %v out of (0, 2π]", d.Name, d.Alpha)
-	case d.PTh <= 0:
-		return fmt.Errorf("model: device %q: non-positive PTh %v", d.Name, d.PTh)
-	}
-	return nil
-}
-
 // PowerParams are the per (charger type, device type) constants a and b of
 // the empirical charging model Eq. (1): P = a/((d+b)²) (Table 4).
 type PowerParams struct {
 	A, B float64
-}
-
-// Validate checks the constants.
-func (p PowerParams) Validate() error {
-	if !isFinite(p.A) || !isFinite(p.B) {
-		return fmt.Errorf("model: power params a=%v b=%v must be finite", p.A, p.B)
-	}
-	if p.A <= 0 || p.B <= 0 {
-		return fmt.Errorf("model: power params a=%v b=%v must be positive", p.A, p.B)
-	}
-	return nil
 }
 
 // Device is a rechargeable device instance with fixed position and
@@ -166,76 +123,6 @@ func (sc *Scenario) AttachVisibilityIndex(ix VisibilityIndex) { sc.vis = ix }
 
 // AttachedVisibilityIndex returns the installed accelerator, or nil.
 func (sc *Scenario) AttachedVisibilityIndex() VisibilityIndex { return sc.vis }
-
-// Validate checks structural consistency of the scenario.
-func (sc *Scenario) Validate() error {
-	if !isFinite(sc.Region.Min.X) || !isFinite(sc.Region.Min.Y) ||
-		!isFinite(sc.Region.Max.X) || !isFinite(sc.Region.Max.Y) {
-		return fmt.Errorf("model: non-finite region")
-	}
-	if sc.Region.Width() <= 0 || sc.Region.Height() <= 0 {
-		return fmt.Errorf("model: empty region")
-	}
-	if len(sc.ChargerTypes) == 0 {
-		return fmt.Errorf("model: no charger types")
-	}
-	if len(sc.DeviceTypes) == 0 {
-		return fmt.Errorf("model: no device types")
-	}
-	for _, c := range sc.ChargerTypes {
-		if err := c.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, d := range sc.DeviceTypes {
-		if err := d.Validate(); err != nil {
-			return err
-		}
-	}
-	if len(sc.Power) != len(sc.ChargerTypes) {
-		return fmt.Errorf("model: power matrix has %d rows, want %d", len(sc.Power), len(sc.ChargerTypes))
-	}
-	for q, row := range sc.Power {
-		if len(row) != len(sc.DeviceTypes) {
-			return fmt.Errorf("model: power row %d has %d entries, want %d", q, len(row), len(sc.DeviceTypes))
-		}
-		for t, p := range row {
-			if err := p.Validate(); err != nil {
-				return fmt.Errorf("model: power[%d][%d]: %w", q, t, err)
-			}
-		}
-	}
-	for i, d := range sc.Devices {
-		if !isFinite(d.Pos.X) || !isFinite(d.Pos.Y) || !isFinite(d.Orient) {
-			return fmt.Errorf("model: device %d has non-finite position or orientation", i)
-		}
-		if d.Type < 0 || d.Type >= len(sc.DeviceTypes) {
-			return fmt.Errorf("model: device %d has unknown type %d", i, d.Type)
-		}
-		if !sc.Region.Contains(d.Pos) {
-			return fmt.Errorf("model: device %d at %v outside region", i, d.Pos)
-		}
-		for h, o := range sc.Obstacles {
-			if o.Shape.ContainsInterior(d.Pos) {
-				return fmt.Errorf("model: device %d at %v inside obstacle %d", i, d.Pos, h)
-			}
-		}
-	}
-	for h, o := range sc.Obstacles {
-		if err := o.Shape.Validate(); err != nil {
-			return fmt.Errorf("model: obstacle %d: %w", h, err)
-		}
-		for _, v := range o.Shape.Vertices {
-			if !isFinite(v.X) || !isFinite(v.Y) {
-				return fmt.Errorf("model: obstacle %d has non-finite vertex", h)
-			}
-		}
-	}
-	return nil
-}
-
-// isFinite reports whether x is neither NaN nor infinite.
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // TotalChargers returns Σ_q N_q, the total number of chargers to place.
 func (sc *Scenario) TotalChargers() int {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -32,35 +33,48 @@ func TestScenarioValidateOK(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateErrors checks that every rule rejects its defect with
+// the *FieldError at the offending field's wire-schema path.
 func TestScenarioValidateErrors(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
+		field  string
 	}{
-		{"empty region", func(s *Scenario) { s.Region.Max = s.Region.Min }},
-		{"no charger types", func(s *Scenario) { s.ChargerTypes = nil }},
-		{"no device types", func(s *Scenario) { s.DeviceTypes = nil }},
-		{"bad charger alpha", func(s *Scenario) { s.ChargerTypes[0].Alpha = -1 }},
-		{"bad charger radii", func(s *Scenario) { s.ChargerTypes[0].DMax = 0.5 }},
-		{"negative count", func(s *Scenario) { s.ChargerTypes[0].Count = -1 }},
-		{"bad device alpha", func(s *Scenario) { s.DeviceTypes[0].Alpha = 0 }},
-		{"bad pth", func(s *Scenario) { s.DeviceTypes[0].PTh = 0 }},
-		{"power rows", func(s *Scenario) { s.Power = nil }},
-		{"power cols", func(s *Scenario) { s.Power[0] = nil }},
-		{"bad power constants", func(s *Scenario) { s.Power[0][0].A = 0 }},
-		{"unknown device type", func(s *Scenario) { s.Devices[0].Type = 5 }},
-		{"device outside region", func(s *Scenario) { s.Devices[0].Pos = geom.V(-1, 0) }},
-		{"device inside obstacle", func(s *Scenario) { s.Devices[0].Pos = geom.V(22, 22) }},
+		{"empty region", func(s *Scenario) { s.Region.Max = s.Region.Min }, "max.x"},
+		{"no charger types", func(s *Scenario) { s.ChargerTypes = nil }, "charger_types"},
+		{"no device types", func(s *Scenario) { s.DeviceTypes = nil }, "device_types"},
+		{"bad charger alpha", func(s *Scenario) { s.ChargerTypes[0].Alpha = -1 }, "charger_types[0].alpha"},
+		{"alpha over 2π", func(s *Scenario) { s.ChargerTypes[0].Alpha = 7 }, "charger_types[0].alpha"},
+		{"negative dmin", func(s *Scenario) { s.ChargerTypes[0].DMin = -1 }, "charger_types[0].dmin"},
+		{"bad charger radii", func(s *Scenario) { s.ChargerTypes[0].DMax = 0.5 }, "charger_types[0].dmax"},
+		{"negative count", func(s *Scenario) { s.ChargerTypes[0].Count = -1 }, "charger_types[0].count"},
+		{"bad device alpha", func(s *Scenario) { s.DeviceTypes[0].Alpha = 0 }, "device_types[0].alpha"},
+		{"bad pth", func(s *Scenario) { s.DeviceTypes[0].PTh = 0 }, "device_types[0].pth"},
+		{"power rows", func(s *Scenario) { s.Power = nil }, "power"},
+		{"power cols", func(s *Scenario) { s.Power[0] = nil }, "power[0]"},
+		{"bad power constants", func(s *Scenario) { s.Power[0][0].A = 0 }, "power[0][0].a"},
+		{"negative power b", func(s *Scenario) { s.Power[0][0].B = -3 }, "power[0][0].b"},
+		{"unknown device type", func(s *Scenario) { s.Devices[0].Type = 5 }, "devices[0].type"},
+		{"device outside region", func(s *Scenario) { s.Devices[0].Pos = geom.V(-1, 0) }, "devices[0].pos"},
+		{"device inside obstacle", func(s *Scenario) { s.Devices[0].Pos = geom.V(22, 22) }, "devices[0].pos"},
 		{"degenerate obstacle", func(s *Scenario) {
 			s.Obstacles[0].Shape = geom.Poly(geom.V(0, 0), geom.V(1, 1))
-		}},
+		}, "obstacles[0].vertices"},
 	}
 	for _, c := range cases {
 		sc := basicScenario()
 		c.mutate(sc)
-		if err := sc.Validate(); err == nil {
-			t.Errorf("%s: expected validation error", c.name)
-		}
+		checkField(t, c.name, sc.Validate(), c.field)
+	}
+}
+
+// checkField fails unless err is the *FieldError at path field.
+func checkField(t *testing.T, name string, err error, field string) {
+	t.Helper()
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Path != field {
+		t.Errorf("%s: error %v, want a *FieldError at %s", name, err, field)
 	}
 }
 
@@ -159,23 +173,24 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
+		field  string
 	}{
-		{"nan region", func(s *Scenario) { s.Region.Max.X = nan }},
-		{"inf region", func(s *Scenario) { s.Region.Min.Y = inf }},
-		{"nan charger alpha", func(s *Scenario) { s.ChargerTypes[0].Alpha = nan }},
-		{"inf charger dmax", func(s *Scenario) { s.ChargerTypes[0].DMax = inf }},
-		{"nan device alpha", func(s *Scenario) { s.DeviceTypes[0].Alpha = nan }},
-		{"nan pth", func(s *Scenario) { s.DeviceTypes[0].PTh = nan }},
-		{"nan power", func(s *Scenario) { s.Power[0][0].A = nan }},
-		{"nan device pos", func(s *Scenario) { s.Devices[0].Pos.X = nan }},
-		{"inf device orient", func(s *Scenario) { s.Devices[0].Orient = inf }},
-		{"nan obstacle vertex", func(s *Scenario) { s.Obstacles[0].Shape.Vertices[0].X = nan }},
+		{"nan region", func(s *Scenario) { s.Region.Max.X = nan }, "max.x"},
+		{"inf region", func(s *Scenario) { s.Region.Min.Y = inf }, "min.y"},
+		{"nan charger alpha", func(s *Scenario) { s.ChargerTypes[0].Alpha = nan }, "charger_types[0].alpha"},
+		{"inf charger dmax", func(s *Scenario) { s.ChargerTypes[0].DMax = inf }, "charger_types[0].dmax"},
+		{"nan device alpha", func(s *Scenario) { s.DeviceTypes[0].Alpha = nan }, "device_types[0].alpha"},
+		{"nan pth", func(s *Scenario) { s.DeviceTypes[0].PTh = nan }, "device_types[0].pth"},
+		{"nan power", func(s *Scenario) { s.Power[0][0].A = nan }, "power[0][0].a"},
+		{"nan device pos", func(s *Scenario) { s.Devices[0].Pos.X = nan }, "devices[0].pos.x"},
+		{"inf device pos y", func(s *Scenario) { s.Devices[0].Pos.Y = -inf }, "devices[0].pos.y"},
+		{"inf device orient", func(s *Scenario) { s.Devices[0].Orient = inf }, "devices[0].orient"},
+		{"nan obstacle vertex", func(s *Scenario) { s.Obstacles[0].Shape.Vertices[0].X = nan }, "obstacles[0].vertices[0].x"},
+		{"nan obstacle vertex y", func(s *Scenario) { s.Obstacles[0].Shape.Vertices[1].Y = nan }, "obstacles[0].vertices[1].y"},
 	}
 	for _, c := range cases {
 		sc := basicScenario()
 		c.mutate(sc)
-		if err := sc.Validate(); err == nil {
-			t.Errorf("%s: expected validation error", c.name)
-		}
+		checkField(t, c.name, sc.Validate(), c.field)
 	}
 }

@@ -94,7 +94,9 @@ func groupByType(ss []model.Strategy, nTypes int) [][]model.Strategy {
 // MinTotal computes the redeployment plan minimizing the overall switching
 // overhead (Section 8.1.1): per charger type, a minimum-cost matching
 // between old and new strategies, padded with installs/decommissions when
-// the counts differ.
+// the counts differ. Every strategy's type must be in [0, nTypes), as
+// model.Scenario.ValidatePlacement checks for a scenario with nTypes
+// charger types.
 func MinTotal(old, new_ []model.Strategy, nTypes int, cm CostModel) (*Plan, error) {
 	return solve(old, new_, nTypes, cm, false)
 }
@@ -106,16 +108,6 @@ func MinMax(old, new_ []model.Strategy, nTypes int, cm CostModel) (*Plan, error)
 }
 
 func solve(old, new_ []model.Strategy, nTypes int, cm CostModel, bottleneck bool) (*Plan, error) {
-	for _, s := range old {
-		if s.Type < 0 || s.Type >= nTypes {
-			return nil, fmt.Errorf("redeploy: old strategy type %d out of range [0, %d)", s.Type, nTypes)
-		}
-	}
-	for _, s := range new_ {
-		if s.Type < 0 || s.Type >= nTypes {
-			return nil, fmt.Errorf("redeploy: new strategy type %d out of range [0, %d)", s.Type, nTypes)
-		}
-	}
 	og := groupByType(old, nTypes)
 	ng := groupByType(new_, nTypes)
 	plan := &Plan{}

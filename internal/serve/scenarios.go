@@ -4,20 +4,20 @@ package serve
 // HTTP. Scenarios are registered once and addressed by content hash;
 // mutations create new registry entries linked to their parent, and the
 // incremental solve endpoint advances a live hipo.Incremental session
-// along those links so a mutate→solve round trip reuses the
-// discretization, sweep, and warm-gain caches instead of re-running the
+// along those links so a mutate→solve round trip reuses the session's
+// discretize task parts and position sweeps instead of re-running the
 // pipeline cold. Placements stay bit-identical to a cold solve of the same
 // scenario — the registry only changes how much work each solve repeats.
 
 import (
 	"container/list"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"hipo"
+	"hipo/internal/model"
 	"hipo/internal/solvecache"
 )
 
@@ -197,12 +197,7 @@ func (s *Server) handleScenarioRegister(w http.ResponseWriter, r *http.Request) 
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Scenario == nil {
-		writeError(w, http.StatusBadRequest, errors.New("scenario is required"))
-		return
-	}
-	if err := validateScenario("scenario", req.Scenario); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !present(w, "scenario", req.Scenario != nil) {
 		return
 	}
 	if err := req.Scenario.Validate(); err != nil {
@@ -249,7 +244,7 @@ func (s *Server) handleScenarioMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Mutations) == 0 {
-		writeError(w, http.StatusBadRequest, fieldErrf("mutations", "at least one mutation is required"))
+		writeError(w, http.StatusBadRequest, model.Errorf("mutations", "at least one mutation is required"))
 		return
 	}
 	// An incremental session validates each mutation against the evolving
@@ -260,7 +255,7 @@ func (s *Server) handleScenarioMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := inc.Apply(req.Mutations...); err != nil {
-		writeError(w, http.StatusBadRequest, errBadRequest{err})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	child := inc.Scenario()
@@ -312,7 +307,7 @@ func (s *Server) handleScenarioSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Options.PerType || req.Options.Continuous {
 		writeError(w, http.StatusBadRequest,
-			fieldErrf("options", "incremental solve supports only the default lazy greedy variant"))
+			model.Errorf("options", "incremental solve supports only the default lazy greedy variant"))
 		return
 	}
 

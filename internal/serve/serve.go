@@ -23,6 +23,7 @@ import (
 
 	"hipo"
 	"hipo/internal/jobs"
+	"hipo/internal/model"
 	"hipo/internal/servemetrics"
 	"hipo/internal/solvecache"
 )
@@ -279,13 +280,13 @@ func (o SolveOptions) validate() error {
 	// The range test is written positively so a NaN eps (which fails every
 	// comparison) cannot sneak through as "in range".
 	if o.Eps != 0 && !(o.Eps > 0 && o.Eps < 0.5) {
-		return fieldErrf("options.eps", "must be in (0, 0.5), got %v", o.Eps)
+		return model.Errorf("options.eps", "must be in (0, 0.5), got %v", o.Eps)
 	}
 	if o.Workers < 0 {
-		return fieldErrf("options.workers", "must be >= 0, got %d", o.Workers)
+		return model.Errorf("options.workers", "must be >= 0, got %d", o.Workers)
 	}
 	if o.PerType && o.Continuous {
-		return fieldErrf("options", "per_type and continuous are mutually exclusive")
+		return model.Errorf("options", "per_type and continuous are mutually exclusive")
 	}
 	return nil
 }
@@ -340,7 +341,7 @@ func runSolve(ctx context.Context, req *SolveRequest) (*hipo.Placement, error) {
 
 func runBudgeted(ctx context.Context, req *SolveRequest) (*hipo.Placement, error) {
 	if req.Budget == nil {
-		return nil, errBadRequest{errors.New("budget is required for /v1/solve/budgeted")}
+		return nil, model.Errorf("budget", "is required")
 	}
 	return req.Scenario.SolveBudgeted(*req.Budget, req.libOptions(ctx)...)
 }
@@ -353,10 +354,14 @@ func runPropFair(ctx context.Context, req *SolveRequest) (*hipo.Placement, error
 	return req.Scenario.SolveProportionalFair(req.libOptions(ctx)...)
 }
 
-// errBadRequest marks errors that should map to 400 rather than 500.
-type errBadRequest struct{ error }
-
-func (e errBadRequest) Unwrap() error { return e.error }
+// present answers 400 at field, and reports false, when its value is
+// absent from the request.
+func present(w http.ResponseWriter, field string, ok bool) bool {
+	if !ok {
+		writeError(w, http.StatusBadRequest, model.Errorf(field, "is required"))
+	}
+	return ok
+}
 
 const maxRequestBytes = 32 << 20
 
@@ -381,13 +386,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(b)
 }
 
+// writeError answers status with err's message. An input rejection, by serve
+// or by the library, is a *model.FieldError whose path, rooted at the
+// request field holding the input, goes out as "field".
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	body := map[string]string{"error": err.Error()}
-	var fe *fieldError
+	var fe *model.FieldError
 	if errors.As(err, &fe) {
-		body["field"] = fe.field
+		body["field"] = fe.Path
 	}
 	// The status line is already on the wire; an encode failure here means
 	// the client went away.
@@ -422,8 +430,7 @@ func (s *Server) solveHandler(endpoint string, run solveFn) http.HandlerFunc {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		if req.Scenario == nil {
-			writeError(w, http.StatusBadRequest, errors.New("scenario is required"))
+		if !present(w, "scenario", req.Scenario != nil) {
 			return
 		}
 		if err := req.Options.validate(); err != nil {
@@ -434,23 +441,21 @@ func (s *Server) solveHandler(endpoint string, run solveFn) http.HandlerFunc {
 		case "", "auto", "sync", "async":
 		default:
 			writeError(w, http.StatusBadRequest,
-				fieldErrf("mode", "must be sync, async, or auto; got %q", req.Mode))
+				model.Errorf("mode", "must be sync, async, or auto; got %q", req.Mode))
 			return
 		}
 		if req.Iterations < 0 {
 			writeError(w, http.StatusBadRequest,
-				fieldErrf("iterations", "must be >= 0, got %d", req.Iterations))
+				model.Errorf("iterations", "must be >= 0, got %d", req.Iterations))
 			return
 		}
+		// Checked up front, not left to the solve, so an async request is
+		// rejected before it queues.
 		if req.Budget != nil {
-			if err := validateBudget("budget", req.Budget); err != nil {
+			if err := req.Budget.Validate(); err != nil {
 				writeError(w, http.StatusBadRequest, err)
 				return
 			}
-		}
-		if err := validateScenario("scenario", req.Scenario); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
 		}
 		if err := req.Scenario.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -492,8 +497,10 @@ func (s *Server) solveHandler(endpoint string, run solveFn) http.HandlerFunc {
 	}
 }
 
+// writeSolveError maps a failed solve: an input rejection (*model.FieldError)
+// to 400, a deadline to 504, a cancellation to 503, anything else to 500.
 func writeSolveError(w http.ResponseWriter, err error) {
-	var bad errBadRequest
+	var bad *model.FieldError
 	switch {
 	case errors.As(err, &bad):
 		writeError(w, http.StatusBadRequest, err)
@@ -625,16 +632,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Scenario == nil || req.Placement == nil {
-		writeError(w, http.StatusBadRequest, errors.New("scenario and placement are required"))
-		return
-	}
-	if err := validateScenario("scenario", req.Scenario); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validatePlacement("placement", req.Scenario, req.Placement); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !present(w, "scenario", req.Scenario != nil) || !present(w, "placement", req.Placement != nil) {
 		return
 	}
 	m, err := req.Scenario.Evaluate(req.Placement)
@@ -661,24 +659,8 @@ func (s *Server) handleRedeploy(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Scenario == nil || req.Old == nil || req.New == nil {
-		writeError(w, http.StatusBadRequest, errors.New("scenario, old, and new are required"))
-		return
-	}
-	if err := validateScenario("scenario", req.Scenario); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validatePlacement("old", req.Scenario, req.Old); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validatePlacement("new", req.Scenario, req.New); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validateRedeployCost("cost", req.Cost); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !present(w, "scenario", req.Scenario != nil) || !present(w, "old", req.Old != nil) ||
+		!present(w, "new", req.New != nil) {
 		return
 	}
 	var plan *hipo.RedeployPlan
@@ -719,17 +701,12 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Scenario == nil {
-		writeError(w, http.StatusBadRequest, errors.New("scenario is required"))
-		return
-	}
-	if err := validateScenario("scenario", req.Scenario); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !present(w, "scenario", req.Scenario != nil) {
 		return
 	}
 	if req.Eps != 0 && !(req.Eps > 0 && req.Eps < 1) {
 		writeError(w, http.StatusBadRequest,
-			fieldErrf("eps", "must be in (0, 1), got %v", req.Eps))
+			model.Errorf("eps", "must be in (0, 1), got %v", req.Eps))
 		return
 	}
 	sc := req.Scenario

@@ -2,18 +2,21 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
 
 	"hipo"
+	"hipo/internal/model"
 )
 
-// TestValidatorsFieldPaths drives the request validators directly with the
-// non-representable-in-JSON garbage (NaN/Inf reaches them via in-process
-// embedding, e.g. cmd/hipoload) and asserts each rejection names the exact
-// offending field.
+// TestValidatorsFieldPaths drives the library validators serve relies on
+// with the non-representable-in-JSON garbage (NaN/Inf reaches them via
+// in-process embedding, e.g. cmd/hipoload) and asserts each rejection is
+// the *model.FieldError whose path writeError sends as "field": the exact
+// offending field, rooted at the request field that holds it.
 func TestValidatorsFieldPaths(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 
@@ -46,17 +49,10 @@ func TestValidatorsFieldPaths(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				sc := testScenario()
 				tc.mutate(sc)
-				err := validateScenario("scenario", sc)
-				var fe *fieldError
-				if err == nil {
-					t.Fatal("validateScenario accepted the mutation")
-				}
-				if !asFieldError(err, &fe) || fe.field != tc.field {
-					t.Fatalf("error %v, want field %s", err, tc.field)
-				}
+				checkField(t, sc.Validate(), tc.field)
 			})
 		}
-		if err := validateScenario("scenario", testScenario()); err != nil {
+		if err := testScenario().Validate(); err != nil {
 			t.Fatalf("valid scenario rejected: %v", err)
 		}
 	})
@@ -79,11 +75,8 @@ func TestValidatorsFieldPaths(t *testing.T) {
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				err := validatePlacement("placement", sc, &tc.p)
-				var fe *fieldError
-				if err == nil || !asFieldError(err, &fe) || fe.field != tc.field {
-					t.Fatalf("error %v, want field %s", err, tc.field)
-				}
+				_, err := sc.Evaluate(&tc.p)
+				checkField(t, err, tc.field)
 			})
 		}
 	})
@@ -106,56 +99,46 @@ func TestValidatorsFieldPaths(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				b := &hipo.DeploymentBudget{PerMeter: 1, PerRadian: 1, Budget: 50}
 				tc.mutate(b)
-				err := validateBudget("budget", b)
-				var fe *fieldError
-				if err == nil || !asFieldError(err, &fe) || fe.field != tc.field {
-					t.Fatalf("error %v, want field %s", err, tc.field)
-				}
+				checkField(t, b.Validate(), tc.field)
 			})
 		}
 	})
 
 	t.Run("redeploy-cost", func(t *testing.T) {
-		err := validateRedeployCost("cost", hipo.RedeployCost{PerMeter: 1, PerInstall: nan})
-		var fe *fieldError
-		if err == nil || !asFieldError(err, &fe) || fe.field != "cost.per_install" {
-			t.Fatalf("error %v, want field cost.per_install", err)
-		}
-		if err := validateRedeployCost("cost", hipo.RedeployCost{PerMeter: 1, PerRadian: 2}); err != nil {
+		sc, none := testScenario(), &hipo.Placement{}
+		_, err := sc.RedeployMinTotal(none, none, hipo.RedeployCost{PerMeter: 1, PerInstall: nan})
+		checkField(t, err, "cost.per_install")
+		if _, err := sc.RedeployMinTotal(none, none, hipo.RedeployCost{PerMeter: 1, PerRadian: 2}); err != nil {
 			t.Fatalf("valid cost rejected: %v", err)
 		}
 	})
 }
 
-func asFieldError(err error, fe **fieldError) bool {
-	for err != nil {
-		if e, ok := err.(*fieldError); ok {
-			*fe = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
+func checkField(t *testing.T, err error, field string) {
+	t.Helper()
+	var fe *model.FieldError
+	if !errors.As(err, &fe) || fe.Path != field {
+		t.Fatalf("error %v, want a *model.FieldError at %s", err, field)
 	}
-	return false
 }
 
 // TestHandlersRejectInvalidRequests runs representable request garbage
 // through the full HTTP stack and asserts 400 plus the "field" key in the
 // error body. The evaluate case with an out-of-range charger type used to
-// panic inside the power model instead of 400ing.
+// panic inside the power model instead of 400ing. The semantic scenario
+// rules (region, obstacles, power shape, polygons) name their field on both
+// the solve and the registry endpoints.
 func TestHandlersRejectInvalidRequests(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	sc := testScenario()
 
-	cases := []struct {
+	type reqCase struct {
 		name     string
 		endpoint string
 		body     any
 		field    string
-	}{
+	}
+	cases := []reqCase{
 		{"solve-bad-eps", "/v1/solve",
 			SolveRequest{Scenario: sc, Options: SolveOptions{Eps: 0.7}}, "options.eps"},
 		{"solve-neg-workers", "/v1/solve",
@@ -190,6 +173,29 @@ func TestHandlersRejectInvalidRequests(t *testing.T) {
 				Cost: hipo.RedeployCost{PerMeter: -1}}, "cost.per_meter"},
 		{"diagnostics-neg-eps", "/v1/diagnostics",
 			DiagnosticsRequest{Scenario: sc, Eps: -0.2}, "eps"},
+	}
+	square := []hipo.Point{{X: 8, Y: 8}, {X: 12, Y: 8}, {X: 12, Y: 12}, {X: 8, Y: 12}}
+	for _, c := range []struct {
+		name   string
+		mutate func(*hipo.Scenario)
+		field  string
+	}{
+		{"device-outside", func(s *hipo.Scenario) { s.Devices[0].Pos.X = -5 }, "scenario.devices[0].pos"},
+		{"device-in-obstacle", func(s *hipo.Scenario) {
+			s.Obstacles = []hipo.Obstacle{{Vertices: square}}
+		}, "scenario.devices[0].pos"},
+		{"power-row-short", func(s *hipo.Scenario) {
+			s.DeviceTypes = append(s.DeviceTypes, s.DeviceTypes[0])
+		}, "scenario.power[0]"},
+		{"obstacle-two-vertices", func(s *hipo.Scenario) {
+			s.Obstacles = []hipo.Obstacle{{Vertices: square[:2]}}
+		}, "scenario.obstacles[0].vertices"},
+	} {
+		bad := testScenario()
+		c.mutate(bad)
+		cases = append(cases,
+			reqCase{"solve-" + c.name, "/v1/solve", SolveRequest{Scenario: bad}, c.field},
+			reqCase{"register-" + c.name, "/v1/scenarios", map[string]any{"scenario": bad}, c.field})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

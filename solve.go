@@ -1,12 +1,15 @@
 package hipo
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 
 	"hipo/internal/core"
 	"hipo/internal/deploycost"
 	"hipo/internal/fairness"
 	"hipo/internal/hipotrace"
+	"hipo/internal/model"
 	"hipo/internal/power"
 	"hipo/internal/redeploy"
 )
@@ -157,12 +160,17 @@ type Metrics struct {
 
 // Evaluate computes the exact charging metrics of an arbitrary placement on
 // this scenario — use it to score hand-crafted or third-party placements.
+// A charger with a non-finite strategy or a type the scenario lacks is
+// rejected at "placement.chargers[i]".
 func (s *Scenario) Evaluate(p *Placement) (*Metrics, error) {
 	sc, err := s.internalScenario()
 	if err != nil {
 		return nil, err
 	}
 	placed := placedToStrategies(p.Chargers)
+	if err := sc.ValidatePlacement(placed); err != nil {
+		return nil, inputError("placement", err)
+	}
 	m := &Metrics{
 		Utility:         power.TotalUtility(sc, placed),
 		DeviceUtilities: power.DeviceUtilities(sc, placed),
@@ -205,7 +213,8 @@ type RedeployMove struct {
 // RedeployCost weighs movement and rotation in the switching overhead.
 // PerInstall and PerDecommission are the flat costs charged when the old
 // and new placements deploy different charger counts of a type (zero by
-// default: count changes are planned but not priced).
+// default: count changes are planned but not priced). Every rate must be
+// finite and non-negative, so the matching objective stays well-defined.
 type RedeployCost struct {
 	PerMeter        float64 `json:"per_meter"`
 	PerRadian       float64 `json:"per_radian"`
@@ -213,10 +222,23 @@ type RedeployCost struct {
 	PerDecommission float64 `json:"per_decommission,omitempty"`
 }
 
+// redeploy checks its inputs, reporting a defect under "old", "new"
+// (chargers as in Evaluate) or "cost", and plans the migration.
 func (s *Scenario) redeploy(old, new_ *Placement, cost RedeployCost, minmax bool) (*RedeployPlan, error) {
 	sc, err := s.internalScenario()
 	if err != nil {
 		return nil, err
+	}
+	from, to := placedToStrategies(old.Chargers), placedToStrategies(new_.Chargers)
+	if err := sc.ValidatePlacement(from); err != nil {
+		return nil, inputError("old", err)
+	}
+	if err := sc.ValidatePlacement(to); err != nil {
+		return nil, inputError("new", err)
+	}
+	if err := cmp.Or(rate("per_meter", cost.PerMeter), rate("per_radian", cost.PerRadian),
+		rate("per_install", cost.PerInstall), rate("per_decommission", cost.PerDecommission)); err != nil {
+		return nil, inputError("cost", err)
 	}
 	cm := redeploy.CostModel{
 		PerMeter:        cost.PerMeter,
@@ -226,11 +248,9 @@ func (s *Scenario) redeploy(old, new_ *Placement, cost RedeployCost, minmax bool
 	}
 	var plan *redeploy.Plan
 	if minmax {
-		plan, err = redeploy.MinMax(placedToStrategies(old.Chargers),
-			placedToStrategies(new_.Chargers), len(sc.ChargerTypes), cm)
+		plan, err = redeploy.MinMax(from, to, len(sc.ChargerTypes), cm)
 	} else {
-		plan, err = redeploy.MinTotal(placedToStrategies(old.Chargers),
-			placedToStrategies(new_.Chargers), len(sc.ChargerTypes), cm)
+		plan, err = redeploy.MinTotal(from, to, len(sc.ChargerTypes), cm)
 	}
 	if err != nil {
 		return nil, err
@@ -274,12 +294,55 @@ type DeploymentBudget struct {
 	Budget    float64   `json:"budget"`
 }
 
+// Validate checks that the depot is finite, every rate and type power is
+// finite and non-negative, and the budget is finite and positive (a
+// non-positive budget can place nothing). The error wraps a *FieldError
+// rooted at "budget".
+func (b DeploymentBudget) Validate() error {
+	if err := b.check(); err != nil {
+		return inputError("budget", err)
+	}
+	return nil
+}
+
+func (b DeploymentBudget) check() *FieldError {
+	switch {
+	case !model.Finite(b.Depot.X):
+		return model.Errorf("depot.x", "must be finite, got %v", b.Depot.X)
+	case !model.Finite(b.Depot.Y):
+		return model.Errorf("depot.y", "must be finite, got %v", b.Depot.Y)
+	case !model.Finite(b.Budget) || b.Budget <= 0:
+		return model.Errorf("budget", "must be finite and > 0, got %v", b.Budget)
+	}
+	if err := cmp.Or(rate("per_meter", b.PerMeter), rate("per_radian", b.PerRadian), rate("per_watt", b.PerWatt)); err != nil {
+		return err
+	}
+	for i, tp := range b.TypePower {
+		if !model.Finite(tp) || tp < 0 {
+			return model.Errorf(fmt.Sprintf("type_power[%d]", i), "must be finite and >= 0, got %v", tp)
+		}
+	}
+	return nil
+}
+
+// rate rejects a cost rate that is not finite and non-negative.
+func rate(field string, v float64) *FieldError {
+	if model.Finite(v) && v >= 0 {
+		return nil
+	}
+	return model.Errorf(field, "must be finite and >= 0, got %v", v)
+}
+
 // SolveBudgeted places chargers maximizing utility subject to the
 // deployment-cost budget, via the cost-benefit greedy over the PDCS
-// candidate set. Per-type cardinalities are advisory under the budget.
+// candidate set. Per-type cardinalities are advisory under the budget. The
+// budget must pass DeploymentBudget.Validate.
 func (s *Scenario) SolveBudgeted(b DeploymentBudget, opts ...Option) (*Placement, error) {
 	sc, err := s.internalScenario()
 	if err != nil {
+		return nil, err
+	}
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	o := buildOptions(opts)
