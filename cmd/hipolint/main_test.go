@@ -51,6 +51,27 @@ func chdir(t *testing.T, dir string) {
 	})
 }
 
+// hotRoots reads the hot-root list CI's drift guards also read,
+// cmd/hipolint/hotroots.txt, from the module root: one function key per
+// line, blank lines and #-comments skipped.
+func hotRoots(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("cmd", "hipolint", "hotroots.txt"))
+	if err != nil {
+		t.Fatalf("hot-root list: %v", err)
+	}
+	var roots []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			roots = append(roots, line)
+		}
+	}
+	if len(roots) == 0 {
+		t.Fatal("hot-root list is empty")
+	}
+	return roots
+}
+
 // TestSuiteCleanOnRepository is the acceptance gate: the full analyzer
 // suite must produce zero diagnostics on the repository's own tree.
 func TestSuiteCleanOnRepository(t *testing.T) {
@@ -91,15 +112,8 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 			t.Errorf("hot-path root %s is not clean", r.Func)
 		}
 	}
-	for _, want := range []string{
-		"hipo/internal/pdcs.Extract",
-		"hipo/internal/pdcs.(Store).Extract",
-		"hipo/internal/pdcs.ExtractAt",
-		"hipo/internal/pdcs.ExtractAll",
-		"hipo/internal/discretize.CandidatePositions",
-		"hipo/internal/submodular.GreedyLazy",
-		"hipo/internal/visindex.Ensure",
-	} {
+	required := hotRoots(t)
+	for _, want := range required {
 		if !roots[want] {
 			t.Errorf("effect report is missing hot-path root %s", want)
 		}
@@ -112,7 +126,11 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	}
 	var trep struct {
 		Schema string `json:"schema"`
-		Sinks  []struct {
+		Roots  []struct {
+			Func       string `json:"func"`
+			OrderClean bool   `json:"orderClean"`
+		} `json:"roots"`
+		Sinks []struct {
 			Kind  string `json:"kind"`
 			Clean bool   `json:"clean"`
 		} `json:"sinks"`
@@ -127,6 +145,18 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	}
 	if trep.Schema != lint.TaintReportSchema {
 		t.Errorf("taint report schema = %q, want %q", trep.Schema, lint.TaintReportSchema)
+	}
+	orderClean := map[string]bool{}
+	for _, r := range trep.Roots {
+		orderClean[r.Func] = r.OrderClean
+		if !r.OrderClean {
+			t.Errorf("hot-path root %s has order-tainted returns", r.Func)
+		}
+	}
+	for _, want := range required {
+		if _, ok := orderClean[want]; !ok {
+			t.Errorf("taint report is missing hot-path root %s", want)
+		}
 	}
 	clean := 0
 	for _, s := range trep.Sinks {

@@ -150,13 +150,13 @@ func clipSegmentToDisk(seg geom.Segment, disk geom.Circle) (geom.Segment, bool) 
 	if aIn && bIn {
 		return seg, true
 	}
-	pts := geom.CircleSegmentIntersections(disk, seg)
+	pts, n := geom.CircleSegmentIntersections(disk, seg)
 	switch {
-	case aIn && len(pts) >= 1:
+	case aIn && n >= 1:
 		return geom.Seg(seg.A, pts[0]), true
-	case bIn && len(pts) >= 1:
+	case bIn && n >= 1:
 		return geom.Seg(pts[0], seg.B), true
-	case len(pts) >= 2:
+	case n >= 2:
 		return geom.Seg(pts[0], pts[1]), true
 	default:
 		return geom.Segment{}, false

@@ -52,7 +52,8 @@ func (a Arc) PointAt(t float64) Vec {
 // IntersectSegment returns the points where the arc meets segment s.
 func (a Arc) IntersectSegment(s Segment) []Vec {
 	var out []Vec
-	for _, p := range CircleSegmentIntersections(Circle{C: a.C, R: a.R}, s) {
+	pts, n := CircleSegmentIntersections(Circle{C: a.C, R: a.R}, s)
+	for _, p := range pts[:n] {
 		if a.Span.Contains(p.Sub(a.C).Angle()) {
 			out = append(out, p)
 		}
@@ -64,7 +65,8 @@ func (a Arc) IntersectSegment(s Segment) []Vec {
 // overlapping concentric arcs report none).
 func (a Arc) IntersectArc(b Arc) []Vec {
 	var out []Vec
-	for _, p := range CircleCircleIntersections(Circle{C: a.C, R: a.R}, Circle{C: b.C, R: b.R}) {
+	pts, n := CircleCircleIntersections(Circle{C: a.C, R: a.R}, Circle{C: b.C, R: b.R})
+	for _, p := range pts[:n] {
 		if a.Span.Contains(p.Sub(a.C).Angle()) && b.Span.Contains(p.Sub(b.C).Angle()) {
 			out = append(out, p)
 		}

@@ -24,14 +24,15 @@ func (c Circle) PointAt(theta float64) Vec {
 }
 
 // CircleCircleIntersections returns the intersection points of two circles
-// (0, 1, or 2 points). Coincident circles report no points.
-func CircleCircleIntersections(a, b Circle) []Vec {
+// in pts[:n] (n = 0, 1, or 2). Coincident circles report no points. The
+// fixed-size result keeps the hot generation loops free of allocation.
+func CircleCircleIntersections(a, b Circle) (pts [2]Vec, n int) {
 	d := a.C.Dist(b.C)
 	if d <= Eps {
-		return nil // concentric (or coincident): no isolated intersections
+		return pts, 0 // concentric (or coincident): no isolated intersections
 	}
 	if d > a.R+b.R+Eps || d < math.Abs(a.R-b.R)-Eps {
-		return nil
+		return pts, 0
 	}
 	// Distance from a.C to the radical line along the center line.
 	x := (d*d + a.R*a.R - b.R*b.R) / (2 * d)
@@ -43,23 +44,27 @@ func CircleCircleIntersections(a, b Circle) []Vec {
 	dir := b.C.Sub(a.C).Scale(1 / d)
 	mid := a.C.Add(dir.Scale(x))
 	if h <= Eps {
-		return []Vec{mid}
+		pts[0] = mid
+		return pts, 1
 	}
 	off := dir.Perp().Scale(h)
-	return []Vec{mid.Add(off), mid.Sub(off)}
+	pts[0], pts[1] = mid.Add(off), mid.Sub(off)
+	return pts, 2
 }
 
 // CircleSegmentIntersections returns the points where circle c meets the
-// closed segment s (0, 1, or 2 points).
-func CircleSegmentIntersections(c Circle, s Segment) []Vec {
+// closed segment s in pts[:n] (n = 0, 1, or 2), in increasing segment
+// parameter.
+func CircleSegmentIntersections(c Circle, s Segment) (pts [2]Vec, n int) {
 	d := s.Dir()
 	f := s.A.Sub(c.C)
 	aa := d.Len2()
 	if aa < Eps*Eps {
 		if c.OnBoundary(s.A, Eps) {
-			return []Vec{s.A}
+			pts[0] = s.A
+			return pts, 1
 		}
-		return nil
+		return pts, 0
 	}
 	bb := 2 * f.Dot(d)
 	cc := f.Len2() - c.R*c.R
@@ -69,88 +74,49 @@ func CircleSegmentIntersections(c Circle, s Segment) []Vec {
 		if disc > -Eps*math.Max(1, aa) {
 			disc = 0
 		} else {
-			return nil
+			return pts, 0
 		}
 	}
 	sq := math.Sqrt(disc)
-	var out []Vec
 	const tol = 1e-9
-	for _, t := range []float64{(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)} {
+	for _, t := range [2]float64{(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)} {
 		if t < -tol || t > 1+tol {
 			continue
 		}
 		p := s.At(math.Max(0, math.Min(1, t)))
-		dup := false
-		for _, q := range out {
-			if q.Eq(p) {
-				dup = true
-			}
+		if n == 1 && pts[0].Eq(p) {
+			continue
 		}
-		if !dup {
-			out = append(out, p)
-		}
+		pts[n] = p
+		n++
 	}
-	return out
+	return pts, n
 }
 
 // CircleLineIntersections returns the points where circle c meets the
-// infinite line through a and b.
-func CircleLineIntersections(c Circle, a, b Vec) []Vec {
+// infinite line through a and b in pts[:n] (n = 0, 1, or 2).
+func CircleLineIntersections(c Circle, a, b Vec) (pts [2]Vec, n int) {
 	d := b.Sub(a)
 	f := a.Sub(c.C)
 	aa := d.Len2()
 	if aa < Eps*Eps {
-		return nil
+		return pts, 0
 	}
 	bb := 2 * f.Dot(d)
 	cc := f.Len2() - c.R*c.R
 	disc := bb*bb - 4*aa*cc
 	if disc < 0 {
-		return nil
+		return pts, 0
 	}
 	sq := math.Sqrt(disc)
 	t1 := (-bb - sq) / (2 * aa)
 	t2 := (-bb + sq) / (2 * aa)
-	p1 := Lerp(a, b, t1)
+	pts[0] = Lerp(a, b, t1)
 	if sq <= Eps {
-		return []Vec{p1}
+		return pts, 1
 	}
-	return []Vec{p1, Lerp(a, b, t2)}
-}
-
-// CircleRayIntersections returns the points where circle c meets ray r,
-// ordered by increasing ray parameter.
-func CircleRayIntersections(c Circle, r Ray) []Vec {
-	d := r.Dir
-	f := r.Origin.Sub(c.C)
-	aa := d.Len2()
-	if aa < Eps*Eps {
-		return nil
-	}
-	bb := 2 * f.Dot(d)
-	cc := f.Len2() - c.R*c.R
-	disc := bb*bb - 4*aa*cc
-	if disc < 0 {
-		return nil
-	}
-	sq := math.Sqrt(disc)
-	var out []Vec
-	for _, t := range []float64{(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)} {
-		if t < -1e-9 {
-			continue
-		}
-		p := r.At(math.Max(0, t))
-		dup := false
-		for _, q := range out {
-			if q.Eq(p) {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, p)
-		}
-	}
-	return out
+	pts[1] = Lerp(a, b, t2)
+	return pts, 2
 }
 
 // InscribedArcCircles returns the two circles through points a and b on

@@ -6,10 +6,13 @@ import (
 	"testing"
 )
 
+// hits is the slice view of an intersection helper's fixed-size result.
+func hits(pts [2]Vec, n int) []Vec { return pts[:n] }
+
 func TestCircleCircleIntersections(t *testing.T) {
 	a := Circle{V(0, 0), 5}
 	b := Circle{V(8, 0), 5}
-	pts := CircleCircleIntersections(a, b)
+	pts := hits(CircleCircleIntersections(a, b))
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -20,7 +23,7 @@ func TestCircleCircleIntersections(t *testing.T) {
 	}
 	// Tangent circles: one point.
 	c := Circle{V(10, 0), 5}
-	pts = CircleCircleIntersections(a, c)
+	pts = hits(CircleCircleIntersections(a, c))
 	if len(pts) != 1 {
 		t.Fatalf("tangent: got %d points, want 1", len(pts))
 	}
@@ -28,15 +31,15 @@ func TestCircleCircleIntersections(t *testing.T) {
 		t.Errorf("tangent point = %v", pts[0])
 	}
 	// Disjoint.
-	if pts := CircleCircleIntersections(a, Circle{V(20, 0), 5}); len(pts) != 0 {
+	if pts := hits(CircleCircleIntersections(a, Circle{V(20, 0), 5})); len(pts) != 0 {
 		t.Errorf("disjoint circles intersect: %v", pts)
 	}
 	// Nested.
-	if pts := CircleCircleIntersections(a, Circle{V(1, 0), 1}); len(pts) != 0 {
+	if pts := hits(CircleCircleIntersections(a, Circle{V(1, 0), 1})); len(pts) != 0 {
 		t.Errorf("nested circles intersect: %v", pts)
 	}
 	// Concentric.
-	if pts := CircleCircleIntersections(a, Circle{V(0, 0), 3}); len(pts) != 0 {
+	if pts := hits(CircleCircleIntersections(a, Circle{V(0, 0), 3})); len(pts) != 0 {
 		t.Errorf("concentric circles intersect: %v", pts)
 	}
 }
@@ -44,56 +47,33 @@ func TestCircleCircleIntersections(t *testing.T) {
 func TestCircleSegmentIntersections(t *testing.T) {
 	c := Circle{V(0, 0), 5}
 	// Secant through center.
-	pts := CircleSegmentIntersections(c, Seg(V(-10, 0), V(10, 0)))
+	pts := hits(CircleSegmentIntersections(c, Seg(V(-10, 0), V(10, 0))))
 	if len(pts) != 2 {
 		t.Fatalf("secant: %d points, want 2", len(pts))
 	}
 	// Segment ending inside: one point.
-	pts = CircleSegmentIntersections(c, Seg(V(0, 0), V(10, 0)))
+	pts = hits(CircleSegmentIntersections(c, Seg(V(0, 0), V(10, 0))))
 	if len(pts) != 1 || !pts[0].Eq(V(5, 0)) {
 		t.Fatalf("half-secant: %v", pts)
 	}
 	// Tangent.
-	pts = CircleSegmentIntersections(c, Seg(V(-10, 5), V(10, 5)))
+	pts = hits(CircleSegmentIntersections(c, Seg(V(-10, 5), V(10, 5))))
 	if len(pts) != 1 || !pts[0].Eq(V(0, 5)) {
 		t.Fatalf("tangent: %v", pts)
 	}
 	// Miss.
-	if pts := CircleSegmentIntersections(c, Seg(V(-10, 6), V(10, 6))); len(pts) != 0 {
+	if pts := hits(CircleSegmentIntersections(c, Seg(V(-10, 6), V(10, 6)))); len(pts) != 0 {
 		t.Fatalf("miss: %v", pts)
 	}
 	// Entirely inside.
-	if pts := CircleSegmentIntersections(c, Seg(V(-1, 0), V(1, 0))); len(pts) != 0 {
+	if pts := hits(CircleSegmentIntersections(c, Seg(V(-1, 0), V(1, 0)))); len(pts) != 0 {
 		t.Fatalf("inside: %v", pts)
-	}
-}
-
-func TestCircleRayIntersections(t *testing.T) {
-	c := Circle{V(10, 0), 3}
-	r := Ray{Origin: V(0, 0), Dir: V(1, 0)}
-	pts := CircleRayIntersections(c, r)
-	if len(pts) != 2 {
-		t.Fatalf("ray secant: %d points", len(pts))
-	}
-	if !pts[0].Eq(V(7, 0)) || !pts[1].Eq(V(13, 0)) {
-		t.Errorf("points = %v", pts)
-	}
-	// Ray pointing away.
-	back := Ray{Origin: V(0, 0), Dir: V(-1, 0)}
-	if pts := CircleRayIntersections(c, back); len(pts) != 0 {
-		t.Errorf("away ray hits: %v", pts)
-	}
-	// Origin inside circle: one forward hit.
-	in := Ray{Origin: V(10, 0), Dir: V(0, 1)}
-	pts = CircleRayIntersections(c, in)
-	if len(pts) != 1 || !pts[0].Eq(V(10, 3)) {
-		t.Errorf("inside-origin ray: %v", pts)
 	}
 }
 
 func TestCircleLineIntersections(t *testing.T) {
 	c := Circle{V(0, 0), 5}
-	pts := CircleLineIntersections(c, V(-1, 3), V(1, 3))
+	pts := hits(CircleLineIntersections(c, V(-1, 3), V(1, 3)))
 	if len(pts) != 2 {
 		t.Fatalf("line: %d points", len(pts))
 	}
@@ -102,7 +82,7 @@ func TestCircleLineIntersections(t *testing.T) {
 			t.Errorf("bad line intersection %v", p)
 		}
 	}
-	if pts := CircleLineIntersections(c, V(-1, 6), V(1, 6)); len(pts) != 0 {
+	if pts := hits(CircleLineIntersections(c, V(-1, 6), V(1, 6))); len(pts) != 0 {
 		t.Errorf("line above circle hits: %v", pts)
 	}
 }
@@ -156,7 +136,7 @@ func TestCircleCircleOnBoth(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a := Circle{randVec(rng, 20), 1 + rng.Float64()*10}
 		b := Circle{randVec(rng, 20), 1 + rng.Float64()*10}
-		for _, p := range CircleCircleIntersections(a, b) {
+		for _, p := range hits(CircleCircleIntersections(a, b)) {
 			found++
 			if math.Abs(p.Dist(a.C)-a.R) > 1e-6 || math.Abs(p.Dist(b.C)-b.R) > 1e-6 {
 				t.Fatalf("point %v not on both circles", p)

@@ -161,7 +161,7 @@ func FuzzCircleSegment(f *testing.F) {
 		}
 		c := Circle{C: V(boundedCoord(cx), boundedCoord(cy)), R: r}
 		s := Seg(V(boundedCoord(ax), boundedCoord(ay)), V(boundedCoord(bx), boundedCoord(by)))
-		for _, p := range CircleSegmentIntersections(c, s) {
+		for _, p := range hits(CircleSegmentIntersections(c, s)) {
 			scale := math.Max(1, r)
 			if math.Abs(p.Dist(c.C)-r) > 1e-5*scale {
 				t.Fatalf("point %v not on circle (dist %v, r %v)", p, p.Dist(c.C), r)

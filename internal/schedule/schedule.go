@@ -134,9 +134,10 @@ func LowerBound(tasks []Task, m int) float64 {
 
 // RunPool executes n tasks on a pool of `workers` goroutines and collects
 // the per-task results. fn must be safe for concurrent invocation. Results
-// are returned in task order.
+// are returned in task order. A pool of one worker (workers ≤ 1 or n ≤ 1)
+// runs the tasks inline in the caller's goroutine.
 func RunPool[T any](n, workers int, fn func(i int) T) []T {
-	return runPool(n, workers, nil, fn)
+	return runPool(n, workers, nil, func(_, i int) T { return fn(i) })
 }
 
 // RunPoolOrdered is RunPool with an explicit hand-out order: idle workers
@@ -146,10 +147,18 @@ func RunPool[T any](n, workers int, fn func(i int) T) []T {
 // RunPool's regardless of order or worker count; only scheduling changes.
 // Pass an LPTOrder permutation to bound the pool's makespan.
 func RunPoolOrdered[T any](n, workers int, order []int, fn func(i int) T) []T {
+	return runPool(n, workers, order, func(_, i int) T { return fn(i) })
+}
+
+// RunPoolScratch is RunPoolOrdered (order may be nil: ascending) for tasks
+// that reuse scratch space: the pool's w-th goroutine runs fn(w, i) for
+// each task i it pulls, w < min(workers, n), so fn may use per-worker state
+// indexed by w without locking.
+func RunPoolScratch[T any](n, workers int, order []int, fn func(w, i int) T) []T {
 	return runPool(n, workers, order, fn)
 }
 
-func runPool[T any](n, workers int, order []int, fn func(i int) T) []T {
+func runPool[T any](n, workers int, order []int, fn func(w, i int) T) []T {
 	if workers < 1 {
 		workers = 1
 	}
@@ -157,7 +166,15 @@ func runPool[T any](n, workers int, order []int, fn func(i int) T) []T {
 		workers = n
 	}
 	out := make([]T, n)
-	if n == 0 {
+	if workers == 1 {
+		// One worker runs inline: no goroutine for a pool of one.
+		for k := 0; k < n; k++ {
+			i := k
+			if order != nil {
+				i = order[k]
+			}
+			out[i] = fn(0, i)
+		}
 		return out
 	}
 	var next int
@@ -178,7 +195,7 @@ func runPool[T any](n, workers int, order []int, fn func(i int) T) []T {
 				if order != nil {
 					i = order[i]
 				}
-				out[i] = fn(i)
+				out[i] = fn(w, i)
 			}
 		}()
 	}

@@ -157,3 +157,31 @@ func TestRunPool(t *testing.T) {
 		t.Error("workers=0 should clamp to 1 and still run")
 	}
 }
+
+// TestRunPoolScratch checks that RunPoolScratch runs every task once, in
+// the given order's pull sequence, and that no two goroutines share a
+// worker index.
+func TestRunPoolScratch(t *testing.T) {
+	const n, workers = 200, 4
+	var busy [workers]atomic.Int32
+	out := RunPoolScratch(n, workers, nil, func(w, i int) int {
+		if w < 0 || w >= workers {
+			t.Errorf("task %d: worker index %d out of range", i, w)
+			return -1
+		}
+		if busy[w].Add(1) != 1 {
+			t.Errorf("worker index %d used by two goroutines at once", w)
+		}
+		defer busy[w].Add(-1)
+		return i * 3
+	})
+	for i, v := range out {
+		if v != i*3 {
+			t.Fatalf("out[%d] = %d", i, v)
+		}
+	}
+	order := []int{2, 0, 1}
+	if got := RunPoolScratch(3, 1, order, func(w, i int) int { return w*10 + i }); got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("single worker: got %v, want [0 1 2]", got)
+	}
+}
