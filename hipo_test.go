@@ -386,10 +386,10 @@ func TestDiagnosticsAPI(t *testing.T) {
 	if _, err := s.FeasibleCellCount(0, 99, 0.15); err == nil {
 		t.Error("bad device index should fail")
 	}
-	for _, eps := range []float64{0, -0.1, 0.5, 0.9} {
-		if _, err := s.FeasibleCellCount(0, 0, eps); err == nil {
-			t.Errorf("eps %v should fail", eps)
-		}
+	for _, eps := range []float64{0, -0.1, 0.5, 0.9, math.NaN()} {
+		_, err := s.FeasibleCellCount(0, 0, eps)
+		checkField(t, err, "eps")
+		checkField(t, CheckEps(eps), "eps")
 	}
 }
 
